@@ -22,7 +22,7 @@ use std::fmt;
 
 use crate::junction::{JunctionTree, TreeEdge};
 use crate::sparse::{BlockedProj, EdgeProj, PropagationKernels, SideProj};
-use crate::{CompiledTree, Factor, KernelMode, SparseMode, VarId};
+use crate::{CompiledTree, Factor, SparseMode, VarId};
 
 /// Why a byte stream could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -426,21 +426,6 @@ fn mode_from_tag(tag: u8) -> Result<SparseMode, CodecError> {
     }
 }
 
-fn kernel_tag(kernel: KernelMode) -> u8 {
-    match kernel {
-        KernelMode::Scalar => 0,
-        KernelMode::Simd => 1,
-    }
-}
-
-fn kernel_from_tag(tag: u8) -> Result<KernelMode, CodecError> {
-    match tag {
-        0 => Ok(KernelMode::Scalar),
-        1 => Ok(KernelMode::Simd),
-        other => Err(malformed(format!("unknown kernel-mode tag {other}"))),
-    }
-}
-
 fn write_side_proj(w: &mut Writer, side: &SideProj) {
     write_u32_list(w, &side.entries);
     match &side.blocked {
@@ -483,7 +468,7 @@ fn read_side_proj(r: &mut Reader<'_>) -> Result<SideProj, CodecError> {
 /// Encodes a [`CompiledTree`] — structure, potentials, schedule, kernels,
 /// and dependency masks — into `w`.
 pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
-    let (tree, potentials, schedule, kernels, mode, kernel, home_vars) = compiled.codec_parts();
+    let (tree, potentials, schedule, kernels, mode, home_vars) = compiled.codec_parts();
     write_tree(w, tree);
     w.usize(potentials.len());
     for pot in potentials {
@@ -512,7 +497,6 @@ pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
     }
     w.usize(kernels.nnz);
     w.u8(mode_tag(mode));
-    w.u8(kernel_tag(kernel));
     w.usize(home_vars.len());
     for vars in home_vars {
         write_var_list(w, vars);
@@ -573,7 +557,6 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         nnz,
     };
     let mode = mode_from_tag(r.u8()?)?;
-    let kernel = kernel_from_tag(r.u8()?)?;
     let home_len = r.len(8)?;
     if home_len != tree.num_cliques() {
         return Err(malformed("home-variable masks mismatch the cliques"));
@@ -583,7 +566,7 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         home_vars.push(read_var_list(r)?);
     }
     Ok(CompiledTree::from_codec_parts(
-        tree, potentials, schedule, kernels, mode, kernel, home_vars,
+        tree, potentials, schedule, kernels, mode, home_vars,
     ))
 }
 
@@ -621,19 +604,6 @@ mod tests {
         let tree = JunctionTree::compile(&net).unwrap();
         let potentials = crate::initial_potentials(&tree, &net);
         CompiledTree::from_parts_with(tree, potentials, mode)
-    }
-
-    #[test]
-    fn kernel_mode_round_trips() {
-        let net = chain_net();
-        for kernel in KernelMode::ALL {
-            let tree = JunctionTree::compile(&net).unwrap();
-            let potentials = crate::initial_potentials(&tree, &net);
-            let compiled =
-                CompiledTree::from_parts_with_kernel(tree, potentials, SparseMode::Auto, kernel);
-            let decoded = round_trip(&compiled);
-            assert_eq!(decoded.kernel_mode(), kernel);
-        }
     }
 
     fn round_trip(compiled: &CompiledTree) -> CompiledTree {

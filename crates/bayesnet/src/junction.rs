@@ -1,7 +1,5 @@
 use crate::graph::moral_graph;
-use crate::triangulate::{
-    triangulate, triangulate_ordered, triangulate_with_preference, Heuristic, Triangulation,
-};
+use crate::triangulate::{triangulate, Heuristic, Triangulation};
 use crate::{BayesError, BayesNet, VarId};
 
 /// A compiled junction tree (actually a forest when the moral graph is
@@ -85,59 +83,7 @@ impl JunctionTree {
         JunctionTree::from_triangulation(net, cards, tri)
     }
 
-    /// Compiles a network by eliminating moral-graph nodes in the *given*
-    /// order instead of a greedy heuristic — the entry point for
-    /// search-based orderings such as [`force_order`](crate::force_order).
-    /// The resulting tree is exact regardless of the order; only its size
-    /// (clique state space) varies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::Empty`] for an empty network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of the variable indices.
-    pub fn compile_ordered(net: &BayesNet, order: &[usize]) -> Result<JunctionTree, BayesError> {
-        if net.num_vars() == 0 {
-            return Err(BayesError::Empty);
-        }
-        let cards = net.cards();
-        let moral = moral_graph(net);
-        let tri = triangulate_ordered(&moral, &cards, order);
-        JunctionTree::from_triangulation(net, cards, tri)
-    }
-
-    /// Compiles a network with the greedy `heuristic`, breaking its
-    /// selection ties by smaller `preference[var]` — the entry point for
-    /// layout-guided orderings (pass FORCE positions from
-    /// [`force_order`](crate::force_order) to steer tied eliminations
-    /// toward layout-local cliques).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::Empty`] for an empty network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `preference.len() != net.num_vars()`.
-    pub fn compile_with_preference(
-        net: &BayesNet,
-        heuristic: Heuristic,
-        preference: &[usize],
-    ) -> Result<JunctionTree, BayesError> {
-        if net.num_vars() == 0 {
-            return Err(BayesError::Empty);
-        }
-        let cards = net.cards();
-        let moral = moral_graph(net);
-        let tri = triangulate_with_preference(&moral, &cards, heuristic, preference);
-        JunctionTree::from_triangulation(net, cards, tri)
-    }
-
-    /// Builds the clique tree from a finished triangulation — the shared
-    /// tail of [`compile_with`](JunctionTree::compile_with) and
-    /// [`compile_ordered`](JunctionTree::compile_ordered).
+    /// Builds the clique tree from a finished triangulation.
     fn from_triangulation(
         net: &BayesNet,
         cards: Vec<usize>,

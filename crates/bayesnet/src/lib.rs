@@ -61,7 +61,6 @@ mod factor;
 pub mod graph;
 mod junction;
 mod network;
-pub mod order;
 mod propagate;
 mod sparse;
 pub mod triangulate;
@@ -70,9 +69,8 @@ pub use error::BayesError;
 pub use factor::{Factor, VarId};
 pub use junction::JunctionTree;
 pub use network::{BayesNet, Cpt};
-pub use order::{force_order, layout_span};
 pub use propagate::{
     initial_potentials, CompiledTree, MessageCache, PropagationMode, PropagationState, Propagator,
 };
-pub use sparse::{KernelMode, SparseMode, SPARSE_COST_PER_ENTRY};
+pub use sparse::{SparseMode, SPARSE_COST_PER_ENTRY};
 pub use triangulate::Heuristic;

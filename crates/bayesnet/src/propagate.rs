@@ -2,7 +2,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::junction::JunctionTree;
 use crate::sparse::{self, PropagationKernels, SideProj};
-use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
+use crate::{BayesError, BayesNet, Factor, SparseMode, VarId};
 
 /// The immutable half of HUGIN propagation: clique structure, initial
 /// potentials, and the collect/distribute message schedule.
@@ -38,11 +38,6 @@ pub struct CompiledTree {
     kernels: PropagationKernels,
     /// The zero-compression policy the kernels were built with.
     mode: SparseMode,
-    /// The summation policy of the blocked kernels ([`KernelMode`]):
-    /// `Scalar` is bit-identical to every reference path, `Simd`
-    /// reassociates sum reductions and therefore never shares a model key
-    /// or persisted artifact with a scalar compile.
-    kernel: KernelMode,
     /// Dependency mask: for each clique, the evidence variables whose
     /// observations are entered *at* that clique (its home variables).
     /// Evidence anywhere else reaches the clique only through messages, so
@@ -109,25 +104,6 @@ impl CompiledTree {
         potentials: Vec<Factor>,
         mode: SparseMode,
     ) -> CompiledTree {
-        CompiledTree::from_parts_with_kernel(tree, potentials, mode, KernelMode::default())
-    }
-
-    /// [`from_parts_with`](CompiledTree::from_parts_with) with an explicit
-    /// blocked-kernel summation policy. [`KernelMode::Scalar`] (the
-    /// default) is bit-identical to every reference path;
-    /// [`KernelMode::Simd`] reassociates sum reductions (see
-    /// [`KernelMode`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the potential count or any potential's scope disagrees
-    /// with the tree.
-    pub fn from_parts_with_kernel(
-        tree: JunctionTree,
-        potentials: Vec<Factor>,
-        mode: SparseMode,
-        kernel: KernelMode,
-    ) -> CompiledTree {
         validate_potentials(&tree, &potentials);
         let schedule = build_schedule(&tree);
         let kernels = PropagationKernels::build(&tree, &potentials, mode);
@@ -142,7 +118,6 @@ impl CompiledTree {
             schedule,
             kernels,
             mode,
-            kernel,
             home_vars,
         }
     }
@@ -193,11 +168,6 @@ impl CompiledTree {
         self.mode
     }
 
-    /// The blocked-kernel summation policy this tree was compiled with.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// How many cliques actually got a zero-compressed support list.
     pub fn compressed_cliques(&self) -> usize {
         self.kernels.compressed_cliques()
@@ -232,7 +202,6 @@ impl CompiledTree {
         &[(usize, usize, usize)],
         &PropagationKernels,
         SparseMode,
-        KernelMode,
         &[Vec<VarId>],
     ) {
         (
@@ -241,7 +210,6 @@ impl CompiledTree {
             &self.schedule,
             &self.kernels,
             self.mode,
-            self.kernel,
             &self.home_vars,
         )
     }
@@ -258,7 +226,6 @@ impl CompiledTree {
         schedule: Vec<(usize, usize, usize)>,
         kernels: PropagationKernels,
         mode: SparseMode,
-        kernel: KernelMode,
         home_vars: Vec<Vec<VarId>>,
     ) -> CompiledTree {
         CompiledTree {
@@ -267,7 +234,6 @@ impl CompiledTree {
             schedule,
             kernels,
             mode,
-            kernel,
             home_vars,
         }
     }
@@ -369,15 +335,14 @@ impl CompiledTree {
             &self.schedule,
             state,
             false,
-            KernelDispatch::Blocked(self.kernel),
+            KernelDispatch::Blocked,
         );
     }
 
     /// [`calibrate`](CompiledTree::calibrate) through the per-entry
     /// projection tables instead of the blocked kernels — the previous
-    /// kernel generation, kept as the measured baseline of the kernel
-    /// microbenchmarks and the bit-identity reference of the equivalence
-    /// tests. Not part of the supported API.
+    /// kernel generation, kept as the bit-identity reference of the
+    /// equivalence tests. Not part of the supported API.
     #[doc(hidden)]
     pub fn calibrate_two_pass(&self, state: &mut PropagationState) {
         calibrate_impl(
@@ -425,7 +390,7 @@ impl CompiledTree {
             &self.home_vars,
             state,
             cache,
-            KernelDispatch::Blocked(self.kernel),
+            KernelDispatch::Blocked,
         )
     }
 
@@ -480,7 +445,7 @@ impl CompiledTree {
             &self.schedule,
             state,
             true,
-            KernelDispatch::Blocked(self.kernel),
+            KernelDispatch::Blocked,
         );
     }
 
@@ -830,7 +795,7 @@ impl<'t> Propagator<'t> {
             &self.schedule,
             &mut self.state,
             false,
-            KernelDispatch::default(),
+            KernelDispatch::Blocked,
         );
     }
 
@@ -848,7 +813,7 @@ impl<'t> Propagator<'t> {
             &self.schedule,
             &mut self.state,
             true,
-            KernelDispatch::default(),
+            KernelDispatch::Blocked,
         );
     }
 
@@ -1067,21 +1032,13 @@ fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState, max_mod
 /// Which kernel generation an absorption runs through.
 ///
 /// `Blocked` is the production path: stride-aware blocked kernels for
-/// dense cliques (with the given [`KernelMode`] summation policy), the
-/// support-list kernels for zero-compressed ones. `Legacy` forces the
-/// per-entry projection tables everywhere — the previous generation, kept
-/// as the measured microbenchmark baseline and the equivalence-test
-/// reference.
+/// dense cliques, the support-list kernels for zero-compressed ones.
+/// `Legacy` forces the per-entry projection tables everywhere — the
+/// previous generation, kept as the equivalence-test reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KernelDispatch {
     Legacy,
-    Blocked(KernelMode),
-}
-
-impl Default for KernelDispatch {
-    fn default() -> KernelDispatch {
-        KernelDispatch::Blocked(KernelMode::default())
-    }
+    Blocked,
 }
 
 /// Sender-side marginalize through the projection the dispatch selects.
@@ -1094,8 +1051,8 @@ fn marginalize_side(
     dispatch: KernelDispatch,
 ) {
     match (support, dispatch, &side.blocked) {
-        (None, KernelDispatch::Blocked(mode), Some(blocked)) => {
-            sparse::marginalize_blocked(values, blocked, target, max_mode, mode);
+        (None, KernelDispatch::Blocked, Some(blocked)) => {
+            sparse::marginalize_blocked(values, blocked, target, max_mode);
         }
         _ => sparse::marginalize_into(values, support, &side.entries, target, max_mode),
     }
@@ -1110,7 +1067,7 @@ fn multiply_side(
     dispatch: KernelDispatch,
 ) {
     match (support, dispatch, &side.blocked) {
-        (None, KernelDispatch::Blocked(_), Some(blocked)) => {
+        (None, KernelDispatch::Blocked, Some(blocked)) => {
             sparse::multiply_blocked(values, blocked, update);
         }
         _ => sparse::multiply_from(values, support, &side.entries, update),

@@ -88,56 +88,6 @@ impl std::str::FromStr for SparseMode {
     }
 }
 
-/// Floating-point summation policy of the blocked marginalize kernels.
-///
-/// `Scalar` (the default) keeps every reduction in the exact order of the
-/// per-entry reference loops, so results are bit-identical
-/// (`f64::to_bits`) to every earlier kernel generation — the blocked
-/// layout only changes *how* entries are addressed, never the order in
-/// which they combine. `Simd` additionally splits single-slot sum
-/// reductions across four independent accumulators so the autovectorizer
-/// can keep f64 lanes busy; that reassociates the adds, which changes
-/// low-order bits. Results still agree with `Scalar` to ~1e-12 relative,
-/// but because they are not bit-identical, the mode is hashed into the
-/// engine model key and the artifact options codec: a simd compile can
-/// never share a cache entry or persisted artifact with a scalar one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelMode {
-    /// Order-preserving reductions; bit-identical to the reference path.
-    #[default]
-    Scalar,
-    /// Reassociating 4-lane accumulators for sum reductions (opt-in).
-    Simd,
-}
-
-impl KernelMode {
-    /// All modes, for CLI help and error messages.
-    pub const ALL: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Simd];
-}
-
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Simd => "simd",
-        })
-    }
-}
-
-impl std::str::FromStr for KernelMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<KernelMode, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(KernelMode::Scalar),
-            "simd" => Ok(KernelMode::Simd),
-            other => Err(format!(
-                "unknown kernel mode `{other}` (expected scalar or simd)"
-            )),
-        }
-    }
-}
-
 /// Relative cost of one support-list entry versus one dense table entry.
 ///
 /// The sparse kernels touch three indexed words per surviving entry (the
@@ -149,7 +99,7 @@ impl std::str::FromStr for KernelMode {
 /// blocked kernels: the previous value (3, >2/3 zeros, itself raised from
 /// the original ≥50% rule that lost on c880) was measured against the
 /// per-entry dense loops, but blocking sped the dense sweep up by another
-/// 1.5–2x on the ISCAS/MCNC set (BENCH_kernels.json), which moved the
+/// 1.5–2x on the ISCAS/MCNC set (EXPERIMENTS.md E14), which moved the
 /// break-even — under the old constant `Auto` was 0.93x on alu2, whose
 /// compressed cliques sit in the 67–80% zero band. The 96%-zero
 /// deterministic-gate cliques the optimization exists for still clear
@@ -198,9 +148,8 @@ pub(crate) struct BlockedProj {
 /// with the support list when the clique is zero-compressed, with the full
 /// table otherwise) plus, for dense cliques, the blocked decomposition the
 /// vectorized kernels walk. The per-entry table is retained even when a
-/// blocked form exists — it drives the sparse kernels, the legacy
-/// reference path (`CompiledTree::calibrate_two_pass`), and the kernel
-/// microbenchmark baseline.
+/// blocked form exists — it drives the sparse kernels and the legacy
+/// reference path (`CompiledTree::calibrate_two_pass`).
 #[derive(Debug, Clone)]
 pub(crate) struct SideProj {
     pub(crate) entries: Vec<u32>,
@@ -505,16 +454,14 @@ pub(crate) fn multiply_from(
 /// Blocked (stride-aware) marginalize of a dense clique table into
 /// `target`: one sequential sweep of `values`, adding (or maxing)
 /// contiguous `copy_len` runs into contiguous target runs. Bit-identical
-/// to the per-entry [`marginalize_into`] in every mode except the
-/// reassociating `simd` sum reduction (see [`KernelMode`]): blocks and
-/// fold repetitions are visited in ascending source order, so each target
-/// slot combines its contributions in exactly the reference order.
+/// to the per-entry [`marginalize_into`]: blocks and fold repetitions are
+/// visited in ascending source order, so each target slot combines its
+/// contributions in exactly the reference order.
 pub(crate) fn marginalize_blocked(
     values: &[f64],
     blocked: &BlockedProj,
     target: &mut [f64],
     max_mode: bool,
-    kernel: KernelMode,
 ) {
     let l = blocked.copy_len as usize;
     let s = blocked.sum_reps as usize;
@@ -541,36 +488,13 @@ pub(crate) fn marginalize_blocked(
     if l == 1 {
         // Whole blocks fold into single target slots: keep the reduction
         // in a register instead of bouncing through memory per entry.
-        if kernel == KernelMode::Simd && s >= 8 {
-            // Four independent accumulators break the serial add chain so
-            // the autovectorizer can chunk f64 lanes. Reassociates the
-            // sum — only reachable through an explicit simd compile.
-            for &b in &blocked.base {
-                let run = &values[off..off + s];
-                let mut acc = [0.0f64; 4];
-                let mut chunks = run.chunks_exact(4);
-                for c in chunks.by_ref() {
-                    acc[0] += c[0];
-                    acc[1] += c[1];
-                    acc[2] += c[2];
-                    acc[3] += c[3];
-                }
-                let mut tail = 0.0f64;
-                for &v in chunks.remainder() {
-                    tail += v;
-                }
-                target[b as usize] += (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail;
-                off += s;
+        for &b in &blocked.base {
+            let mut acc = target[b as usize];
+            for &v in &values[off..off + s] {
+                acc += v;
             }
-        } else {
-            for &b in &blocked.base {
-                let mut acc = target[b as usize];
-                for &v in &values[off..off + s] {
-                    acc += v;
-                }
-                target[b as usize] = acc;
-                off += s;
-            }
+            target[b as usize] = acc;
+            off += s;
         }
     } else {
         // Contiguous lane-parallel adds: independent slots, so the
@@ -591,7 +515,7 @@ pub(crate) fn marginalize_blocked(
 /// Blocked multiply of a sepset-sized `update` into a dense clique table:
 /// the gather direction of [`marginalize_blocked`]. Elementwise products
 /// in any order are the same products, so this is bit-identical to the
-/// per-entry [`multiply_from`] in every kernel mode.
+/// per-entry [`multiply_from`].
 pub(crate) fn multiply_blocked(values: &mut [f64], blocked: &BlockedProj, update: &[f64]) {
     let l = blocked.copy_len as usize;
     let s = blocked.sum_reps as usize;
@@ -635,16 +559,6 @@ mod tests {
         assert_eq!("AUTO".parse::<SparseMode>(), Ok(SparseMode::Auto));
         assert!("sometimes".parse::<SparseMode>().is_err());
         assert_eq!(SparseMode::default(), SparseMode::Auto);
-    }
-
-    #[test]
-    fn kernel_mode_parsing_round_trips() {
-        for mode in KernelMode::ALL {
-            assert_eq!(mode.to_string().parse::<KernelMode>(), Ok(mode));
-        }
-        assert_eq!("SIMD".parse::<KernelMode>(), Ok(KernelMode::Simd));
-        assert!("avx".parse::<KernelMode>().is_err());
-        assert_eq!(KernelMode::default(), KernelMode::Scalar);
     }
 
     /// Mixed-cardinality factor so blocked decompositions see uneven dims.
@@ -692,7 +606,7 @@ mod tests {
 
         /// Blocked kernels against the per-entry reference on every sepset
         /// subset of a random mixed-cardinality clique: sum and max must
-        /// be bit-identical in scalar mode; simd must stay within 1e-12.
+        /// be bit-identical.
         #[test]
         fn blocked_kernels_match_per_entry_reference(
             cards in proptest::collection::vec(2usize..=4, 2..=4),
@@ -722,23 +636,12 @@ mod tests {
                 let mut reference = vec![f64::NAN; sep_len];
                 marginalize_into(clique.values(), None, &proj, &mut reference, max_mode);
                 let mut blocked = vec![f64::NAN; sep_len];
-                marginalize_blocked(
-                    clique.values(),
-                    &bp,
-                    &mut blocked,
-                    max_mode,
-                    KernelMode::Scalar,
-                );
+                marginalize_blocked(clique.values(), &bp, &mut blocked, max_mode);
                 let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
                 let got_bits: Vec<u64> = blocked.iter().map(|x| x.to_bits()).collect();
-                prop_assert_eq!(got_bits, ref_bits, "scalar blocked must be bit-identical");
-                let mut simd = vec![f64::NAN; sep_len];
-                marginalize_blocked(clique.values(), &bp, &mut simd, max_mode, KernelMode::Simd);
-                for (a, b) in simd.iter().zip(&reference) {
-                    prop_assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
-                }
+                prop_assert_eq!(got_bits, ref_bits, "blocked must be bit-identical");
             }
-            // Multiply direction: bit-identical in every mode.
+            // Multiply direction: bit-identical too.
             let update: Vec<f64> = (0..sep_len).map(|i| 0.5 + i as f64).collect();
             let mut reference = clique.values().to_vec();
             multiply_from(&mut reference, None, &proj, &update);

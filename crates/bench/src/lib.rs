@@ -12,8 +12,15 @@
 //! * `ablation` — the design-choice studies indexed in DESIGN.md
 //!   (segmentation budget, boundary correlation, triangulation heuristic,
 //!   two- vs four-state variables, input-correlation sensitivity);
-//! * `batch_report` — `swact-engine` batch throughput at 1/2/4/8 workers,
-//!   written to `BENCH_batch.json`.
+//! * `sparse_report` — propagate-only time under `SparseMode::Off` vs
+//!   `SparseMode::Auto`, written to `BENCH_sparse.json`;
+//! * `sweep_report` — a single-input sweep with incremental reuse off vs
+//!   on, written to `BENCH_sweep.json`;
+//! * `anytime_report` — sampling-backend error and time against the
+//!   confidence-interval target, written to `BENCH_anytime.json`.
+//!
+//! End-to-end and per-layer performance is measured by the separate
+//! `perfbench` package at the repository root.
 //!
 //! The Criterion benches in `benches/` measure the compile/propagate split
 //! (paper §6's "circuits can be precompiled; only propagation has to be
@@ -230,31 +237,6 @@ pub fn ground_truth(circuit: &Circuit, pairs: usize) -> Vec<f64> {
     measure_activity(circuit, &model, pairs, GROUND_TRUTH_SEED).switching
 }
 
-/// One batch-throughput measurement: `scenarios` input specs pushed through
-/// a [`swact_engine::Engine`] with `jobs` workers.
-#[derive(Debug, Clone)]
-pub struct BatchThroughputRow {
-    /// Worker threads.
-    pub jobs: usize,
-    /// Scenarios in the batch.
-    pub scenarios: usize,
-    /// Wall-clock seconds for the propagation-only batch (model precompiled).
-    pub wall_s: f64,
-    /// Scenarios per wall-clock second.
-    pub scenarios_per_sec: f64,
-    /// Throughput relative to the 1-worker row (1.0 for the first row).
-    pub speedup: f64,
-    /// Whether the engine served the batch from its compiled-model cache.
-    pub cache_hit: bool,
-    /// Propagation seconds summed over scenarios (exceeds `wall_s` when
-    /// multiple workers overlap).
-    pub propagate_s: f64,
-    /// Boundary-forwarding seconds summed over scenarios.
-    pub forward_s: f64,
-}
-
-/// Sweep scenario specs: per-input p1 varies with both input position and
-/// scenario index so every scenario re-propagates distinct evidence.
 /// Resolves a benchmark name against the built-in catalog; unknown names
 /// get an error message listing every valid name, ready to print as-is.
 pub fn lookup_benchmark(name: &str) -> Result<Circuit, String> {
@@ -267,6 +249,8 @@ pub fn lookup_benchmark(name: &str) -> Result<Circuit, String> {
     })
 }
 
+/// Sweep scenario specs: per-input p1 varies with both input position and
+/// scenario index so every scenario re-propagates distinct evidence.
 pub fn batch_specs(circuit: &Circuit, scenarios: usize) -> Vec<InputSpec> {
     (0..scenarios)
         .map(|k| {
@@ -275,60 +259,6 @@ pub fn batch_specs(circuit: &Circuit, scenarios: usize) -> Vec<InputSpec> {
             )
         })
         .collect()
-}
-
-/// Measures batch throughput over `jobs_list` worker counts.
-///
-/// A warm-up batch populates the engine's compiled-model cache first, so
-/// the timed rows measure the paper's "Update" path (propagation only) and
-/// every row after the warm-up is a cache hit.
-///
-/// # Panics
-///
-/// Panics if the circuit fails to compile or any scenario fails.
-pub fn batch_throughput(
-    circuit: &Circuit,
-    scenarios: usize,
-    jobs_list: &[usize],
-) -> Vec<BatchThroughputRow> {
-    let specs = batch_specs(circuit, scenarios);
-    let options = Options::default();
-    let mut rows: Vec<BatchThroughputRow> = Vec::new();
-    for &jobs in jobs_list {
-        // Forced: this bench measures scheduler behavior at *exactly* the
-        // requested worker count, including deliberate oversubscription
-        // (the default engine clamps to available CPUs precisely because
-        // of what this bench recorded).
-        let engine = swact_engine::Engine::with_jobs_forced(jobs);
-        // Warm-up: compile into this engine's cache (untimed).
-        let warm = engine
-            .estimate_batch(circuit, &specs[..1], &options)
-            .expect("benchmark circuit compiles");
-        assert!(warm.all_ok(), "warm-up batch failed");
-        let report = engine
-            .estimate_batch(circuit, &specs, &options)
-            .expect("compiled model present");
-        assert!(report.all_ok(), "batch scenario failed");
-        let wall_s = report.wall_time.as_secs_f64();
-        let scenarios_per_sec = report.scenarios_per_sec();
-        let speedup = match rows.first() {
-            Some(base) if base.scenarios_per_sec > 0.0 => {
-                scenarios_per_sec / base.scenarios_per_sec
-            }
-            _ => 1.0,
-        };
-        rows.push(BatchThroughputRow {
-            jobs,
-            scenarios,
-            wall_s,
-            scenarios_per_sec,
-            speedup,
-            cache_hit: report.cache_hit,
-            propagate_s: report.stages.propagate.as_secs_f64(),
-            forward_s: report.stages.forward.as_secs_f64(),
-        });
-    }
-    rows
 }
 
 /// One circuit's sparse-vs-dense propagation measurement.
@@ -427,210 +357,6 @@ pub fn sparse_throughput_json(rows: &[SparseThroughputRow], reps: usize) -> Stri
             row.dense_s,
             row.sparse_s,
             row.speedup
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One circuit's kernel-grid measurement: propagate-only wall clock of the
-/// blocked fused kernels ({dense, sparse} × {scalar, simd}) against the
-/// per-entry two-pass projection tables — the previous kernel generation,
-/// kept reachable as `CompiledTree::calibrate_two_pass`.
-#[derive(Debug, Clone)]
-pub struct KernelThroughputRow {
-    /// Benchmark name.
-    pub circuit: String,
-    /// Segments (Bayesian networks) the circuit planned into.
-    pub segments: usize,
-    /// Total junction-tree cliques across all segments.
-    pub cliques: usize,
-    /// Per-entry two-pass baseline (dense, scalar), seconds.
-    pub baseline_s: f64,
-    /// Blocked kernels, `SparseMode::Off` × `KernelMode::Scalar`, seconds.
-    pub dense_scalar_s: f64,
-    /// Blocked kernels, `SparseMode::Off` × `KernelMode::Simd`, seconds.
-    pub dense_simd_s: f64,
-    /// Blocked kernels, `SparseMode::Auto` × `KernelMode::Scalar`, seconds.
-    pub sparse_scalar_s: f64,
-    /// Blocked kernels, `SparseMode::Auto` × `KernelMode::Simd`, seconds.
-    pub sparse_simd_s: f64,
-    /// `baseline_s` over the fastest grid cell.
-    pub best_speedup: f64,
-}
-
-impl KernelThroughputRow {
-    /// The fastest grid cell, seconds.
-    pub fn best_s(&self) -> f64 {
-        self.dense_scalar_s
-            .min(self.dense_simd_s)
-            .min(self.sparse_scalar_s)
-            .min(self.sparse_simd_s)
-    }
-}
-
-/// Times calibration of each circuit's own segment junction trees —
-/// exactly the trees the estimator pipeline compiles, rebuilt via
-/// [`swact::pipeline::SegmentModel`] — across the kernel grid, `reps`
-/// calibrations per cell. No estimator plumbing (root weighting, marginal
-/// extraction, boundary forwarding) is inside the timed region, so the
-/// wall-clock difference isolates the message-pass kernels.
-///
-/// Also asserts, per circuit, that the blocked scalar kernels calibrate
-/// bit-identically to the two-pass baseline and that simd agrees to
-/// `1e-12` — a wrong kernel can never report a speedup.
-///
-/// # Panics
-///
-/// Panics if any name is unknown, a circuit fails to plan or compile, or
-/// the kernel-equivalence checks fail.
-pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow> {
-    use swact::pipeline::{PlannedCircuit, SegmentModel};
-    use swact_bayesnet::{
-        initial_potentials, CompiledTree, Factor, JunctionTree, KernelMode, SparseMode,
-    };
-
-    names
-        .iter()
-        .map(|&name| {
-            let circuit = catalog::benchmark(name).expect("known benchmark");
-            let options = Options::default();
-            let planned = PlannedCircuit::new(&circuit, &options).expect("circuit plans");
-            // Compile each segment's junction tree once; every grid cell
-            // rebuilds its CompiledTree from clones of the same tree and
-            // potentials, so all cells propagate identical structures.
-            let parts: Vec<(JunctionTree, Vec<Factor>)> = (0..planned.num_segments())
-                .map(|i| {
-                    let model = SegmentModel::build(&planned, i, 0).expect("segment model");
-                    let tree = JunctionTree::compile_with(model.net(), options.heuristic)
-                        .expect("segment compiles");
-                    let potentials = initial_potentials(&tree, model.net());
-                    (tree, potentials)
-                })
-                .collect();
-            let build = |sparse: SparseMode, kernel: KernelMode| -> Vec<CompiledTree> {
-                parts
-                    .iter()
-                    .map(|(tree, pots)| {
-                        CompiledTree::from_parts_with_kernel(
-                            tree.clone(),
-                            pots.clone(),
-                            sparse,
-                            kernel,
-                        )
-                    })
-                    .collect()
-            };
-            // States are created outside the timed region and recalibrated
-            // in place: calibrate re-seeds from the initial potentials, so
-            // warm reps do the full message pass with zero allocation.
-            let time = |trees: &[CompiledTree], two_pass: bool| -> f64 {
-                let mut states: Vec<_> = trees.iter().map(CompiledTree::new_state).collect();
-                let pass = |states: &mut Vec<swact_bayesnet::PropagationState>| {
-                    for (tree, state) in trees.iter().zip(states.iter_mut()) {
-                        if two_pass {
-                            tree.calibrate_two_pass(state);
-                        } else {
-                            tree.calibrate(state);
-                        }
-                    }
-                };
-                pass(&mut states); // untimed warm-up
-                let start = Instant::now();
-                for _ in 0..reps {
-                    pass(&mut states);
-                }
-                start.elapsed().as_secs_f64()
-            };
-
-            let dense_scalar = build(SparseMode::Off, KernelMode::Scalar);
-            let dense_simd = build(SparseMode::Off, KernelMode::Simd);
-            let sparse_scalar = build(SparseMode::Auto, KernelMode::Scalar);
-            let sparse_simd = build(SparseMode::Auto, KernelMode::Simd);
-
-            // Equivalence gate before any timing is reported.
-            for (k, (tree, _)) in parts.iter().enumerate() {
-                let mut reference = dense_scalar[k].new_state();
-                dense_scalar[k].calibrate_two_pass(&mut reference);
-                let mut scalar = dense_scalar[k].new_state();
-                dense_scalar[k].calibrate(&mut scalar);
-                let mut simd = dense_simd[k].new_state();
-                dense_simd[k].calibrate(&mut simd);
-                for clique in 0..tree.num_cliques() {
-                    let expect = reference.clique_potential(clique).values();
-                    let got = scalar.clique_potential(clique).values();
-                    assert_eq!(expect.len(), got.len());
-                    for (e, g) in expect.iter().zip(got) {
-                        assert_eq!(
-                            e.to_bits(),
-                            g.to_bits(),
-                            "{name}: blocked scalar kernels must be bit-identical \
-                             to the two-pass baseline"
-                        );
-                    }
-                    for (e, g) in expect.iter().zip(simd.clique_potential(clique).values()) {
-                        assert!(
-                            (e - g).abs() <= 1e-12,
-                            "{name}: simd kernels drifted past 1e-12 ({e} vs {g})"
-                        );
-                    }
-                }
-            }
-
-            let baseline_s = time(&dense_scalar, true);
-            let dense_scalar_s = time(&dense_scalar, false);
-            let dense_simd_s = time(&dense_simd, false);
-            let sparse_scalar_s = time(&sparse_scalar, false);
-            let sparse_simd_s = time(&sparse_simd, false);
-            let row = KernelThroughputRow {
-                circuit: name.to_string(),
-                segments: parts.len(),
-                cliques: parts.iter().map(|(tree, _)| tree.num_cliques()).sum(),
-                baseline_s,
-                dense_scalar_s,
-                dense_simd_s,
-                sparse_scalar_s,
-                sparse_simd_s,
-                best_speedup: 0.0,
-            };
-            let best = row.best_s();
-            KernelThroughputRow {
-                best_speedup: if best > 0.0 { baseline_s / best } else { 1.0 },
-                ..row
-            }
-        })
-        .collect()
-}
-
-/// Renders kernel-grid rows as a JSON document with host metadata
-/// (hand-rolled: the workspace deliberately has no serde dependency).
-pub fn kernel_throughput_json(rows: &[KernelThroughputRow], reps: usize) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    let _ = writeln!(
-        out,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    let _ = writeln!(out, "  \"host_os\": \"{}\",", std::env::consts::OS);
-    let _ = writeln!(out, "  \"host_arch\": \"{}\",", std::env::consts::ARCH);
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"circuit\": \"{}\", \"segments\": {}, \"cliques\": {}, \
-             \"baseline_s\": {:.6}, \"dense_scalar_s\": {:.6}, \"dense_simd_s\": {:.6}, \
-             \"sparse_scalar_s\": {:.6}, \"sparse_simd_s\": {:.6}, \"best_speedup\": {:.3}}}",
-            row.circuit,
-            row.segments,
-            row.cliques,
-            row.baseline_s,
-            row.dense_scalar_s,
-            row.dense_simd_s,
-            row.sparse_scalar_s,
-            row.sparse_simd_s,
-            row.best_speedup
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -875,47 +601,6 @@ pub fn sweep_throughput_json(rows: &[SweepThroughputRow]) -> String {
     out
 }
 
-/// Renders throughput rows as a JSON document (hand-rolled: the workspace
-/// deliberately has no serde dependency).
-pub fn batch_throughput_json(circuit_name: &str, rows: &[BatchThroughputRow]) -> String {
-    let mut out = String::from("{\n");
-    // Schema 2: rows gained per-stage `propagate_s`/`forward_s` seconds
-    // (summed over scenarios) alongside the wall clock.
-    let _ = writeln!(out, "  \"schema\": 2,");
-    let _ = writeln!(out, "  \"circuit\": \"{circuit_name}\",");
-    let _ = writeln!(
-        out,
-        "  \"scenarios\": {},",
-        rows.first().map_or(0, |r| r.scenarios)
-    );
-    // Speedup is bounded by the host's cores; record them so a 1.0x row on
-    // a 1-CPU machine is not misread as an engine defect.
-    let _ = writeln!(
-        out,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"jobs\": {}, \"wall_s\": {:.6}, \"scenarios_per_sec\": {:.3}, \
-             \"speedup\": {:.3}, \"cache_hit\": {}, \"propagate_s\": {:.6}, \
-             \"forward_s\": {:.6}}}",
-            row.jobs,
-            row.wall_s,
-            row.scenarios_per_sec,
-            row.speedup,
-            row.cache_hit,
-            row.propagate_s,
-            row.forward_s
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -965,43 +650,6 @@ mod tests {
         assert!(json.contains("\"circuit\": \"c17\""));
         assert!(json.contains("\"host_cpus\""));
         assert!(json.contains("\"zero_fraction\""));
-    }
-
-    #[test]
-    fn kernel_throughput_rows_and_json() {
-        // kernel_throughput itself asserts blocked-scalar ≡ two-pass
-        // bit-identity and simd agreement to 1e-12 before timing.
-        let rows = kernel_throughput(&["c17"], 2);
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert_eq!(row.segments, 1);
-        assert!(row.cliques > 0);
-        assert!(row.baseline_s > 0.0);
-        assert!(row.best_s() > 0.0);
-        assert!(row.best_speedup > 0.0);
-        let json = kernel_throughput_json(&rows, 2);
-        assert!(json.contains("\"circuit\": \"c17\""));
-        assert!(json.contains("\"baseline_s\""));
-        assert!(json.contains("\"dense_simd_s\""));
-        assert!(json.contains("\"best_speedup\""));
-    }
-
-    #[test]
-    fn batch_throughput_rows_and_json() {
-        let circuit = catalog::benchmark("c17").expect("known benchmark");
-        let rows = batch_throughput(&circuit, 4, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].jobs, 1);
-        assert!((rows[0].speedup - 1.0).abs() < 1e-12);
-        assert!(rows.iter().all(|r| r.cache_hit && r.scenarios == 4));
-        assert!(rows.iter().all(|r| r.propagate_s > 0.0));
-        let json = batch_throughput_json("c17", &rows);
-        assert!(json.contains("\"schema\": 2"));
-        assert!(json.contains("\"circuit\": \"c17\""));
-        assert!(json.contains("\"jobs\": 2"));
-        assert_eq!(json.matches("cache_hit").count(), 2);
-        assert_eq!(json.matches("propagate_s").count(), 2);
-        assert_eq!(json.matches("forward_s").count(), 2);
     }
 
     #[test]

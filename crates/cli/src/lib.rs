@@ -17,10 +17,7 @@
 use std::fmt::Write as _;
 
 use swact::sequential::{estimate_sequential, SequentialOptions};
-use swact::{
-    estimate, Backend, Budget, InputModel, InputSpec, KernelMode, Options, OrderingStrategy,
-    PowerModel, SegmentationStrategy, SparseMode, StructureStrategy,
-};
+use swact::{estimate, Backend, InputModel, InputSpec, Options, PowerModel, SegmentationStrategy};
 use swact_baselines::{Independence, PairwiseCorrelation, SwitchingEstimator, TransitionDensity};
 use swact_circuit::sequential::parse_bench_sequential;
 use swact_circuit::{catalog, parse::parse_bench, write, Circuit};
@@ -88,10 +85,6 @@ ESTIMATE OPTIONS:
   --single-bn      force one exact Bayesian network (may be infeasible)
   --sparse <MODE>  zero-compress clique potentials: auto, on, or off
                    (default auto; results are bit-identical across modes)
-  --kernel <K>     propagation kernel: scalar (default; bit-identical to the
-                   reference factor algebra) or simd (reassociated 4-lane
-                   reductions — faster, ~1e-15 relative difference, cached
-                   and persisted under its own model key)
   --backend <B>    inference backend: jtree (exact junction trees, default),
                    bdd (exact per-segment OBDDs), sampling (anytime
                    likelihood weighting with a confidence interval), or
@@ -106,9 +99,6 @@ ESTIMATE OPTIONS:
   --cache-dir <DIR>  reuse compiled models across processes: load the
                    compiled pipeline from DIR when a bit-identical artifact
                    exists, otherwise compile and persist one
-  --ordering <O>   structure-ordering strategy: greedy (default) or force
-                   (FORCE iterative layout; the compiled artifact keeps
-                   whichever order is cheaper, so results never regress)
   --seg-search     balanced-cut segmentation search: backtrack each budget
                    trip to the checkpoint with the smallest boundary cut
   --power          also print the dynamic-power report
@@ -116,7 +106,7 @@ ESTIMATE OPTIONS:
   --csv            emit per-line results as CSV instead of a table
 
 PLAN OPTIONS:
-  accepts the ESTIMATE options that shape the plan (--budget, --ordering,
+  accepts the ESTIMATE options that shape the plan (--budget,
   --seg-search, --single-bn) and prints the segmentation the estimator
   would compile: per-segment gates, roots, boundary roots, and the
   planner's estimated junction-tree states — no model is compiled;
@@ -146,8 +136,6 @@ BATCH OPTIONS:
                    wait exceeds it
   --no-fallback    fail compilation instead of degrading over-budget segments
   --sparse <MODE>  zero-compress clique potentials: auto, on, or off
-  --kernel <K>     propagation kernel: scalar (default) or simd (see
-                   ESTIMATE OPTIONS)
   --backend <B>    inference backend: jtree (default), bdd, sampling, or
                    twostate
   --seed <N>       sampling RNG seed (default 0; see ESTIMATE OPTIONS)
@@ -214,189 +202,111 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-struct EstimateArgs {
+/// The netlist and the model flags `estimate`, `plan` and `batch` share:
+/// everything that shapes the compiled model or where it is cached.
+struct ModelArgs {
     path: String,
-    p1: f64,
-    activity: Option<f64>,
-    budget: usize,
-    budget_states: Option<f64>,
-    deadline_ms: Option<u64>,
-    no_fallback: bool,
-    single_bn: bool,
-    sparse: SparseMode,
-    kernel: KernelMode,
-    backend: Backend,
-    power: bool,
-    sequential: bool,
-    csv: bool,
+    options: Options,
     cache_dir: Option<String>,
-    ordering: OrderingStrategy,
-    seg_search: bool,
-    seed: u64,
-    ci_half_width: Option<f64>,
-    ci_z: Option<f64>,
 }
 
-fn parse_sparse(value: &str) -> Result<SparseMode, CliError> {
-    value.parse().map_err(|_| {
-        usage_error(format!(
-            "bad --sparse value `{value}` (expected auto, on, or off)"
-        ))
-    })
-}
-
-fn parse_kernel(value: &str) -> Result<KernelMode, CliError> {
-    value.parse().map_err(|_| {
-        usage_error(format!(
-            "bad --kernel value `{value}` (expected scalar or simd)"
-        ))
-    })
-}
-
-fn parse_backend(value: &str) -> Result<Backend, CliError> {
-    value.parse().map_err(usage_error)
-}
-
-fn parse_ordering(value: &str) -> Result<OrderingStrategy, CliError> {
-    value.parse().map_err(usage_error)
-}
-
-fn strategy_for(ordering: OrderingStrategy, seg_search: bool) -> StructureStrategy {
-    StructureStrategy {
-        ordering,
-        segmentation: if seg_search {
-            SegmentationStrategy::BalancedCut
-        } else {
-            SegmentationStrategy::TopoCover
-        },
+impl ModelArgs {
+    /// Consumes `rest[*i]` (and its value) when it is a shared model flag
+    /// or the netlist path; returns `false` for any other flag.
+    fn parse_flag(&mut self, rest: &[&String], i: &mut usize) -> Result<bool, CliError> {
+        let flag = rest[*i].as_str();
+        let options = &mut self.options;
+        match flag {
+            "--budget" => options.segment_budget = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--budget-states" => {
+                options.budget.max_states = Some(parse_value(take_value(rest, i, flag)?, flag)?)
+            }
+            "--deadline-ms" => {
+                let ms = parse_value(take_value(rest, i, flag)?, flag)?;
+                options.budget.deadline = Some(std::time::Duration::from_millis(ms));
+            }
+            "--sparse" => options.sparse = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--backend" => options.backend = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--seed" => options.seed = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--ci-half-width" => {
+                options.ci_half_width = parse_value(take_value(rest, i, flag)?, flag)?
+            }
+            "--ci-z" => options.ci_z = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--cache-dir" => self.cache_dir = Some(take_value(rest, i, flag)?.to_string()),
+            "--seg-search" => options.segmentation = SegmentationStrategy::BalancedCut,
+            "--no-fallback" => options.no_fallback = true,
+            other if other.starts_with("--") => return Ok(false),
+            path => {
+                if !self.path.is_empty() {
+                    return Err(usage_error("more than one netlist given"));
+                }
+                self.path = path.to_string();
+            }
+        }
+        *i += 1;
+        Ok(true)
     }
 }
 
-fn parse_estimate_args(rest: &[&String]) -> Result<EstimateArgs, CliError> {
-    let mut parsed = EstimateArgs {
+/// Parses a model command's arguments: shared flags go to
+/// [`ModelArgs::parse_flag`], the rest to `command_flag` (same contract),
+/// and a flag neither knows is a usage error.
+fn parse_model_args(
+    rest: &[&String],
+    mut command_flag: impl FnMut(&[&String], &mut usize) -> Result<bool, CliError>,
+) -> Result<ModelArgs, CliError> {
+    let mut args = ModelArgs {
         path: String::new(),
-        p1: 0.5,
-        activity: None,
-        budget: 1 << 17,
-        budget_states: None,
-        deadline_ms: None,
-        no_fallback: false,
-        single_bn: false,
-        sparse: SparseMode::Auto,
-        kernel: KernelMode::Scalar,
-        backend: Backend::Jtree,
-        power: false,
-        sequential: false,
-        csv: false,
+        options: Options::default(),
         cache_dir: None,
-        ordering: OrderingStrategy::Greedy,
-        seg_search: false,
-        seed: 0,
-        ci_half_width: None,
-        ci_z: None,
     };
     let mut i = 0;
     while i < rest.len() {
-        match rest[i].as_str() {
-            "--p1" | "--activity" | "--budget" | "--budget-states" | "--deadline-ms"
-            | "--sparse" | "--kernel" | "--backend" | "--cache-dir" | "--ordering" | "--seed"
-            | "--ci-half-width" | "--ci-z" => {
-                let flag = rest[i].as_str();
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| usage_error(format!("{flag} needs a value")))?;
-                match flag {
-                    "--p1" => {
-                        parsed.p1 = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --p1 value `{value}`")))?
-                    }
-                    "--activity" => {
-                        parsed.activity =
-                            Some(value.parse().map_err(|_| {
-                                usage_error(format!("bad --activity value `{value}`"))
-                            })?)
-                    }
-                    "--budget-states" => {
-                        parsed.budget_states = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --budget-states value `{value}`"))
-                        })?)
-                    }
-                    "--deadline-ms" => {
-                        parsed.deadline_ms = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --deadline-ms value `{value}`"))
-                        })?)
-                    }
-                    "--sparse" => parsed.sparse = parse_sparse(value)?,
-                    "--kernel" => parsed.kernel = parse_kernel(value)?,
-                    "--backend" => parsed.backend = parse_backend(value)?,
-                    "--cache-dir" => parsed.cache_dir = Some(value.to_string()),
-                    "--ordering" => parsed.ordering = parse_ordering(value)?,
-                    "--seed" => {
-                        parsed.seed = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --seed value `{value}`")))?
-                    }
-                    "--ci-half-width" => {
-                        parsed.ci_half_width = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --ci-half-width value `{value}`"))
-                        })?)
-                    }
-                    "--ci-z" => {
-                        parsed.ci_z = Some(
-                            value
-                                .parse()
-                                .map_err(|_| usage_error(format!("bad --ci-z value `{value}`")))?,
-                        )
-                    }
-                    _ => {
-                        parsed.budget = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --budget value `{value}`")))?
-                    }
-                }
-                i += 2;
-            }
-            "--seg-search" => {
-                parsed.seg_search = true;
-                i += 1;
-            }
-            "--no-fallback" => {
-                parsed.no_fallback = true;
-                i += 1;
-            }
-            "--single-bn" => {
-                parsed.single_bn = true;
-                i += 1;
-            }
-            "--power" => {
-                parsed.power = true;
-                i += 1;
-            }
-            "--sequential" => {
-                parsed.sequential = true;
-                i += 1;
-            }
-            "--csv" => {
-                parsed.csv = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(usage_error(format!("unknown option `{flag}`")));
-            }
-            path => {
-                if !parsed.path.is_empty() {
-                    return Err(usage_error("more than one netlist given"));
-                }
-                parsed.path = path.to_string();
-                i += 1;
-            }
+        if !args.parse_flag(rest, &mut i)? && !command_flag(rest, &mut i)? {
+            return Err(usage_error(format!("unknown option `{}`", rest[i])));
         }
     }
-    if parsed.path.is_empty() {
+    if args.path.is_empty() {
         return Err(usage_error("missing netlist path"));
     }
-    Ok(parsed)
+    Ok(args)
+}
+
+struct EstimateArgs {
+    model: ModelArgs,
+    p1: f64,
+    activity: Option<f64>,
+    power: bool,
+    sequential: bool,
+    csv: bool,
+}
+
+fn parse_estimate_args(rest: &[&String]) -> Result<EstimateArgs, CliError> {
+    let (mut p1, mut activity) = (0.5, None);
+    let (mut single_bn, mut power, mut sequential, mut csv) = (false, false, false, false);
+    let mut model = parse_model_args(rest, |rest, i| {
+        let flag = rest[*i].as_str();
+        match flag {
+            "--p1" => p1 = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--activity" => activity = Some(parse_value(take_value(rest, i, flag)?, flag)?),
+            "--single-bn" => single_bn = true,
+            "--power" => power = true,
+            "--sequential" => sequential = true,
+            "--csv" => csv = true,
+            _ => return Ok(false),
+        }
+        *i += 1;
+        Ok(true)
+    })?;
+    model.options.single_bn = single_bn;
+    Ok(EstimateArgs {
+        model,
+        p1,
+        activity,
+        power,
+        sequential,
+        csv,
+    })
 }
 
 fn load_circuit(path: &str) -> Result<Circuit, CliError> {
@@ -430,32 +340,6 @@ fn spec_for(args: &EstimateArgs, num_inputs: usize) -> Result<InputSpec, CliErro
     Ok(InputSpec::from_models(vec![model; num_inputs]))
 }
 
-fn resource_budget(budget_states: Option<f64>, deadline_ms: Option<u64>) -> Budget {
-    Budget {
-        max_states: budget_states,
-        max_factor_bytes: None,
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
-    }
-}
-
-fn estimator_options(args: &EstimateArgs) -> Options {
-    let defaults = Options::default();
-    Options {
-        segment_budget: args.budget,
-        single_bn: args.single_bn,
-        sparse: args.sparse,
-        kernel: args.kernel,
-        backend: args.backend,
-        budget: resource_budget(args.budget_states, args.deadline_ms),
-        no_fallback: args.no_fallback,
-        strategy: strategy_for(args.ordering, args.seg_search),
-        seed: args.seed,
-        ci_half_width: args.ci_half_width.unwrap_or(defaults.ci_half_width),
-        ci_z: args.ci_z.unwrap_or(defaults.ci_z),
-        ..defaults
-    }
-}
-
 /// Runs one estimate through the on-disk artifact cache: load the compiled
 /// pipeline from `dir` when a valid artifact for this exact model exists,
 /// otherwise compile and persist one. Loaded and fresh pipelines produce
@@ -485,27 +369,28 @@ fn estimate_via_cache(
 
 fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
     let args = parse_estimate_args(rest)?;
+    let path = &args.model.path;
     let mut out = String::new();
     if args.sequential {
-        if args.cache_dir.is_some() {
+        if args.model.cache_dir.is_some() {
             return Err(usage_error(
                 "--cache-dir does not apply to --sequential (the fixed-point \
                  loop recompiles the feedback model every iteration)",
             ));
         }
-        let source = std::fs::read_to_string(&args.path)
-            .map_err(|e| runtime_error(format!("cannot read `{}`: {e}", args.path)))?;
-        let seq = if is_blif(&args.path, &source) {
-            swact_circuit::blif::parse_blif(&args.path, &source).map_err(runtime_error)?
+        let source = std::fs::read_to_string(path)
+            .map_err(|e| runtime_error(format!("cannot read `{path}`: {e}")))?;
+        let seq = if is_blif(path, &source) {
+            swact_circuit::blif::parse_blif(path, &source).map_err(runtime_error)?
         } else {
-            parse_bench_sequential(&args.path, &source).map_err(runtime_error)?
+            parse_bench_sequential(path, &source).map_err(runtime_error)?
         };
         let spec = spec_for(&args, seq.num_primary_inputs())?;
         let result = estimate_sequential(
             &seq,
             &spec,
             &SequentialOptions {
-                options: estimator_options(&args),
+                options: args.model.options,
                 ..SequentialOptions::default()
             },
         )
@@ -540,10 +425,10 @@ fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    let circuit = load_circuit(&args.path)?;
+    let circuit = load_circuit(path)?;
     let spec = spec_for(&args, circuit.num_inputs())?;
-    let options = estimator_options(&args);
-    let est = match &args.cache_dir {
+    let options = args.model.options;
+    let est = match &args.model.cache_dir {
         Some(dir) => estimate_via_cache(dir, &circuit, &spec, &options)?,
         None => estimate(&circuit, &spec, &options).map_err(runtime_error)?,
     };
@@ -616,9 +501,9 @@ fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
 /// segmentation) and print what the estimator would compile — the cheap
 /// way to compare structure strategies before paying for a compile.
 fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
-    let args = parse_estimate_args(rest)?;
+    let args = parse_estimate_args(rest)?.model;
     let circuit = load_circuit(&args.path)?;
-    let options = estimator_options(&args);
+    let options = args.options;
     let working = swact_circuit::decompose::decompose_fanin(&circuit, options.max_fanin.max(2))
         .map_err(runtime_error)?;
     let plan = if options.single_bn {
@@ -630,7 +515,7 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
             options.segment_budget,
             options.check_interval,
             options.heuristic,
-            options.strategy.segmentation,
+            options.segmentation,
         )
     };
     let costs = plan.estimated_costs(&working, 4, options.heuristic);
@@ -642,7 +527,7 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
         circuit.num_inputs(),
         circuit.num_gates(),
         working.num_gates(),
-        options.strategy,
+        options.segmentation,
         options.segment_budget,
     );
     let _ = writeln!(
@@ -712,160 +597,46 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
 }
 
 struct BatchArgs {
-    path: String,
+    model: ModelArgs,
     jobs: Option<usize>,
     jobs_force: Option<usize>,
     sweep: usize,
     spec_file: Option<String>,
-    budget: usize,
-    budget_states: Option<f64>,
-    deadline_ms: Option<u64>,
-    no_fallback: bool,
-    no_incremental: bool,
-    sparse: SparseMode,
-    kernel: KernelMode,
-    backend: Backend,
     csv: bool,
     stats: bool,
-    cache_dir: Option<String>,
-    ordering: OrderingStrategy,
-    seg_search: bool,
-    seed: u64,
-    ci_half_width: Option<f64>,
-    ci_z: Option<f64>,
 }
 
 fn parse_batch_args(rest: &[&String]) -> Result<BatchArgs, CliError> {
-    let mut parsed = BatchArgs {
-        path: String::new(),
-        jobs: None,
-        jobs_force: None,
-        sweep: 8,
-        spec_file: None,
-        budget: 1 << 17,
-        budget_states: None,
-        deadline_ms: None,
-        no_fallback: false,
-        no_incremental: false,
-        sparse: SparseMode::Auto,
-        kernel: KernelMode::Scalar,
-        backend: Backend::Jtree,
-        csv: false,
-        stats: false,
-        cache_dir: None,
-        ordering: OrderingStrategy::Greedy,
-        seg_search: false,
-        seed: 0,
-        ci_half_width: None,
-        ci_z: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            flag @ ("--jobs" | "--jobs-force" | "--sweep" | "--budget" | "--budget-states"
-            | "--deadline-ms" | "--spec" | "--sparse" | "--kernel" | "--backend"
-            | "--cache-dir" | "--ordering" | "--seed" | "--ci-half-width" | "--ci-z") => {
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| usage_error(format!("{flag} needs a value")))?;
-                match flag {
-                    "--jobs" => {
-                        parsed.jobs = Some(
-                            value
-                                .parse()
-                                .map_err(|_| usage_error(format!("bad --jobs value `{value}`")))?,
-                        )
-                    }
-                    "--jobs-force" => {
-                        parsed.jobs_force = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --jobs-force value `{value}`"))
-                        })?)
-                    }
-                    "--sweep" => {
-                        parsed.sweep = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --sweep value `{value}`")))?
-                    }
-                    "--budget" => {
-                        parsed.budget = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --budget value `{value}`")))?
-                    }
-                    "--budget-states" => {
-                        parsed.budget_states = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --budget-states value `{value}`"))
-                        })?)
-                    }
-                    "--deadline-ms" => {
-                        parsed.deadline_ms = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --deadline-ms value `{value}`"))
-                        })?)
-                    }
-                    "--sparse" => parsed.sparse = parse_sparse(value)?,
-                    "--kernel" => parsed.kernel = parse_kernel(value)?,
-                    "--backend" => parsed.backend = parse_backend(value)?,
-                    "--cache-dir" => parsed.cache_dir = Some(value.to_string()),
-                    "--ordering" => parsed.ordering = parse_ordering(value)?,
-                    "--seed" => {
-                        parsed.seed = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --seed value `{value}`")))?
-                    }
-                    "--ci-half-width" => {
-                        parsed.ci_half_width = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --ci-half-width value `{value}`"))
-                        })?)
-                    }
-                    "--ci-z" => {
-                        parsed.ci_z = Some(
-                            value
-                                .parse()
-                                .map_err(|_| usage_error(format!("bad --ci-z value `{value}`")))?,
-                        )
-                    }
-                    _ => parsed.spec_file = Some(value.to_string()),
-                }
-                i += 2;
-            }
-            "--seg-search" => {
-                parsed.seg_search = true;
-                i += 1;
-            }
-            "--no-fallback" => {
-                parsed.no_fallback = true;
-                i += 1;
-            }
-            "--no-incremental" => {
-                parsed.no_incremental = true;
-                i += 1;
-            }
-            "--csv" => {
-                parsed.csv = true;
-                i += 1;
-            }
-            "--stats" => {
-                parsed.stats = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(usage_error(format!("unknown option `{flag}`")));
-            }
-            path => {
-                if !parsed.path.is_empty() {
-                    return Err(usage_error("more than one netlist given"));
-                }
-                parsed.path = path.to_string();
-                i += 1;
-            }
+    let (mut jobs, mut jobs_force, mut sweep, mut spec_file) = (None, None, 8, None);
+    let (mut no_incremental, mut csv, mut stats) = (false, false, false);
+    let mut model = parse_model_args(rest, |rest, i| {
+        let flag = rest[*i].as_str();
+        match flag {
+            "--jobs" => jobs = Some(parse_value(take_value(rest, i, flag)?, flag)?),
+            "--jobs-force" => jobs_force = Some(parse_value(take_value(rest, i, flag)?, flag)?),
+            "--sweep" => sweep = parse_value(take_value(rest, i, flag)?, flag)?,
+            "--spec" => spec_file = Some(take_value(rest, i, flag)?.to_string()),
+            "--no-incremental" => no_incremental = true,
+            "--csv" => csv = true,
+            "--stats" => stats = true,
+            _ => return Ok(false),
         }
-    }
-    if parsed.path.is_empty() {
-        return Err(usage_error("missing netlist path"));
-    }
-    if parsed.sweep == 0 {
+        *i += 1;
+        Ok(true)
+    })?;
+    if sweep == 0 {
         return Err(usage_error("--sweep must be at least 1"));
     }
-    Ok(parsed)
+    model.options.incremental = !no_incremental;
+    Ok(BatchArgs {
+        model,
+        jobs,
+        jobs_force,
+        sweep,
+        spec_file,
+        csv,
+        stats,
+    })
 }
 
 /// Parses a scenario file: one scenario per line, blank lines and `#`
@@ -922,7 +693,7 @@ fn sweep_specs(n: usize, num_inputs: usize) -> Vec<InputSpec> {
 
 fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
     let args = parse_batch_args(rest)?;
-    let circuit = load_circuit(&args.path)?;
+    let circuit = load_circuit(&args.model.path)?;
     let specs = match &args.spec_file {
         Some(path) => {
             let source = std::fs::read_to_string(path)
@@ -936,24 +707,10 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
         (None, Some(jobs)) => Engine::with_jobs(jobs),
         (None, None) => Engine::new(),
     };
-    if let Some(dir) = &args.cache_dir {
+    if let Some(dir) = &args.model.cache_dir {
         engine = engine.with_cache_dir(dir);
     }
-    let defaults = Options::default();
-    let options = Options {
-        segment_budget: args.budget,
-        sparse: args.sparse,
-        kernel: args.kernel,
-        backend: args.backend,
-        budget: resource_budget(args.budget_states, args.deadline_ms),
-        no_fallback: args.no_fallback,
-        incremental: !args.no_incremental,
-        strategy: strategy_for(args.ordering, args.seg_search),
-        seed: args.seed,
-        ci_half_width: args.ci_half_width.unwrap_or(defaults.ci_half_width),
-        ci_z: args.ci_z.unwrap_or(defaults.ci_z),
-        ..defaults
-    };
+    let options = args.model.options;
     let report = engine
         .estimate_batch(&circuit, &specs, &options)
         .map_err(runtime_error)?;
@@ -1082,7 +839,7 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
                 metrics.sampling_timed_out
             );
         }
-        if args.cache_dir.is_some() {
+        if args.model.cache_dir.is_some() {
             let _ = writeln!(
                 out,
                 "artifacts: {} loaded from disk; {} persisted; {} rejected",
@@ -1223,11 +980,11 @@ fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
                 config.addr = take_value(rest, &mut i, "--addr")?.to_string();
             }
             "--jobs" => {
-                config.jobs = parse_count(take_value(rest, &mut i, "--jobs")?, "--jobs")?;
+                config.jobs = parse_value(take_value(rest, &mut i, "--jobs")?, "--jobs")?;
             }
             "--handlers" => {
                 config.handlers =
-                    parse_count(take_value(rest, &mut i, "--handlers")?, "--handlers")?;
+                    parse_value(take_value(rest, &mut i, "--handlers")?, "--handlers")?;
             }
             "--clients-config" => {
                 let path = take_value(rest, &mut i, "--clients-config")?;
@@ -1240,8 +997,8 @@ fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
                 addr_file = Some(take_value(rest, &mut i, "--addr-file")?.to_string());
             }
             "--drain-ms" => {
-                let ms = parse_count(take_value(rest, &mut i, "--drain-ms")?, "--drain-ms")?;
-                config.drain = std::time::Duration::from_millis(ms as u64);
+                let ms = parse_value(take_value(rest, &mut i, "--drain-ms")?, "--drain-ms")?;
+                config.drain = std::time::Duration::from_millis(ms);
             }
             "--cache-dir" => {
                 config.cache_dir = Some(std::path::PathBuf::from(take_value(
@@ -1395,10 +1152,13 @@ fn take_value<'a>(rest: &[&'a String], i: &mut usize, flag: &str) -> Result<&'a 
         .ok_or_else(|| usage_error(format!("{flag} needs a value")))
 }
 
-fn parse_count(value: &str, flag: &str) -> Result<usize, CliError> {
+fn parse_value<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
     value
         .parse()
-        .map_err(|_| usage_error(format!("bad {flag} value `{value}`")))
+        .map_err(|e| usage_error(format!("bad {flag} value `{value}`: {e}")))
 }
 
 fn cmd_list() -> String {
@@ -1502,41 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_modes_agree_closely_and_scalar_is_default() {
-        let default = run_strs(&["estimate", "c17", "--csv"]).unwrap();
-        let scalar = run_strs(&["estimate", "c17", "--kernel", "scalar", "--csv"]).unwrap();
-        // The explicit scalar kernel IS the default path — byte-identical.
-        assert_eq!(default, scalar);
-        // The simd kernel reassociates reductions: values agree to ~1e-12
-        // but need not be byte-identical.
-        let simd = run_strs(&["estimate", "c17", "--kernel", "SIMD", "--csv"]).unwrap();
-        let parse = |out: &str| -> Vec<f64> {
-            out.lines()
-                .skip(1)
-                .flat_map(|l| l.split(',').skip(1).map(|v| v.parse().unwrap()))
-                .collect::<Vec<f64>>()
-        };
-        let a = parse(&scalar);
-        let b = parse(&simd);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() <= 1e-12, "kernel divergence: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn kernel_rejects_bad_mode() {
-        for cmd in ["estimate", "batch"] {
-            let err = run_strs(&[cmd, "c17", "--kernel", "avx512"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("bad --kernel value"));
-            let err = run_strs(&[cmd, "c17", "--kernel"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("--kernel needs a value"));
-        }
-    }
-
-    #[test]
     fn backend_flag_selects_inference_engine() {
         // Both exact backends print the same estimate table (timing line
         // differs), and the OBDD one runs end-to-end from the CLI.
@@ -1586,6 +1311,27 @@ mod tests {
     }
 
     #[test]
+    fn sampling_rejects_untrue_confidence_targets() {
+        // A non-positive or NaN target would be reported as a (false)
+        // interval, so the estimator rejects it at compile.
+        for (flag, bad) in [
+            ("--ci-z", "-1.96"),
+            ("--ci-z", "NaN"),
+            ("--ci-half-width", "-0.01"),
+        ] {
+            for cmd in ["estimate", "batch"] {
+                let err = run_strs(&[cmd, "c17", "--backend", "sampling", flag, bad]).unwrap_err();
+                assert_eq!(err.exit_code, 1, "{cmd} {flag} {bad}");
+                assert!(
+                    err.message.contains("must be finite and positive"),
+                    "{cmd} {flag} {bad}: {}",
+                    err.message
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sampling_batch_is_identical_across_job_counts() {
         fn args(jobs: &str) -> [&str; 11] {
             [
@@ -1621,33 +1367,19 @@ mod tests {
     }
 
     #[test]
-    fn structure_strategy_flags() {
-        // FORCE only changes structure, never probabilities: the estimate
-        // table must match the default bit-for-bit (timing line differs).
-        let table = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        let greedy = run_strs(&["estimate", "c17"]).unwrap();
-        let force = run_strs(&["estimate", "c17", "--ordering", "force"]).unwrap();
-        assert_eq!(table(&greedy), table(&force));
+    fn seg_search_flag_runs() {
         let search = run_strs(&["estimate", "c17", "--seg-search"]).unwrap();
         assert!(search.contains("mean switching activity"));
-
-        for cmd in ["estimate", "batch"] {
-            let err = run_strs(&[cmd, "c17", "--ordering", "random"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("unknown ordering strategy"));
-            let err = run_strs(&[cmd, "c17", "--ordering"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-        }
     }
 
     #[test]
     fn plan_subcommand_prints_segmentation() {
         let topo = run_strs(&["plan", "c432"]).unwrap();
-        assert!(topo.contains("greedy/topo-cover"));
+        assert!(topo.contains("strategy topo-cover"));
         assert!(topo.contains("segment(s)"));
         assert!(topo.contains("boundary root(s)"));
         let cut = run_strs(&["plan", "c432", "--seg-search", "--budget", "1024"]).unwrap();
-        assert!(cut.contains("greedy/balanced-cut"));
+        assert!(cut.contains("strategy balanced-cut"));
         assert!(run_strs(&["plan"]).is_err());
     }
 

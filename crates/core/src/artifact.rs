@@ -65,12 +65,14 @@ pub const MAGIC: [u8; 8] = *b"SWACTBN1";
 /// Version of the on-disk encoding. Any change to the payload layout (or
 /// the header after the version field) must bump this; readers reject
 /// every other version. Version 2 added the structure-strategy tags to
-/// the options codec and the `force_ordered` flag to segment stats;
+/// the options codec and a FORCE-win flag to segment stats;
 /// version 3 added the sampling backend (seed/CI options, sampling
 /// segment artifacts, and the `Fallback::Sampling` degradation tag);
 /// version 4 added the propagation-kernel tag to the options codec and
-/// blocked stride tables to the compiled-tree kernels.
-pub const FORMAT_VERSION: u32 = 4;
+/// blocked stride tables to the compiled-tree kernels; version 5 removed
+/// the kernel and ordering tags from the options codec, the kernel tag
+/// from compiled trees and the FORCE-win flag from segment stats.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Extension used by [`artifact_file_name`].
 pub const ARTIFACT_EXTENSION: &str = "swact";
@@ -382,7 +384,7 @@ pub fn write_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, InputGroup, InputModel, StructureStrategy};
+    use crate::{Backend, InputGroup, InputModel, SegmentationStrategy};
     use swact_circuit::catalog;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -433,24 +435,13 @@ mod tests {
             model_key(&c17, Some(&b), &options),
             "group probabilities are propagate-time data"
         );
-        // The structure strategy shapes the compiled artifact, so it is
-        // identity: orderings must never mix.
-        assert_ne!(
-            key,
-            model_key(
-                &c17,
-                None,
-                &Options::with_strategy(StructureStrategy::force())
-            )
-        );
-        assert_ne!(
-            key,
-            model_key(
-                &c17,
-                None,
-                &Options::with_strategy(StructureStrategy::balanced_cut())
-            )
-        );
+        // The segmentation strategy shapes the compiled artifact, so it
+        // is identity: plans must never mix.
+        let balanced = Options {
+            segmentation: SegmentationStrategy::BalancedCut,
+            ..options
+        };
+        assert_ne!(key, model_key(&c17, None, &balanced));
     }
 
     #[test]

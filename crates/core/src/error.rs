@@ -23,6 +23,15 @@ pub enum EstimateError {
         /// Requested switching activity.
         activity: f64,
     },
+    /// An [`Options`](crate::Options) value is out of range: the sampling
+    /// confidence target (`ci_half_width`) and z-score (`ci_z`) must be
+    /// finite and positive.
+    InvalidOption {
+        /// The offending field.
+        option: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// The spec's input-group structure differs from the one the estimator
     /// was compiled for (group membership is part of the compiled network
     /// structure; re-compile to change it).
@@ -149,6 +158,9 @@ impl fmt::Display for EstimateError {
                 f,
                 "input model p1={p1}, activity={activity} is out of range or infeasible"
             ),
+            EstimateError::InvalidOption { option, value } => {
+                write!(f, "option {option} = {value} must be finite and positive")
+            }
             EstimateError::GroupStructureMismatch => write!(
                 f,
                 "input-group structure differs from the compiled one; recompile"

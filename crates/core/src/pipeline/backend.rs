@@ -99,10 +99,6 @@ pub struct SegmentStats {
     /// `SparseMode::Auto` minimizes per clique, so auto's total never
     /// exceeds dense's.
     pub kernel_cost: usize,
-    /// Whether this segment was compiled from a FORCE-searched order that
-    /// beat the greedy one (always `false` under
-    /// [`OrderingStrategy::Greedy`](crate::OrderingStrategy::Greedy)).
-    pub force_ordered: bool,
 }
 
 /// One segment compiled by an [`InferenceBackend`]: the backend's opaque

@@ -108,6 +108,17 @@ impl CompiledPipeline {
         spec: Option<&InputSpec>,
         options: &Options,
     ) -> Result<CompiledPipeline, EstimateError> {
+        // A sampled interval is only as true as its target and z-score:
+        // a non-positive or non-finite one would be reported as converged
+        // (or burn the whole sample cap) with a meaningless half-width.
+        for (option, value) in [
+            ("ci_half_width", options.ci_half_width),
+            ("ci_z", options.ci_z),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(EstimateError::InvalidOption { option, value });
+            }
+        }
         let start = Instant::now();
         let backend_kind = options.backend;
         let backend = backend_impl(backend_kind);
@@ -803,13 +814,6 @@ impl CompiledPipeline {
 
     pub(crate) fn kernel_cost(&self) -> usize {
         self.segments.iter().map(|s| s.stats().kernel_cost).sum()
-    }
-
-    pub(crate) fn force_ordered_segments(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| s.stats().force_ordered)
-            .count()
     }
 
     pub(crate) fn options(&self) -> &Options {

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use swact_bayesnet::codec::{read_compiled_tree, write_compiled_tree, CodecError, Reader, Writer};
-use swact_bayesnet::{Heuristic, KernelMode, SparseMode, VarId};
+use swact_bayesnet::{Heuristic, SparseMode, VarId};
 use swact_bdd::{Bdd, NodeId};
 use swact_circuit::{Circuit, CircuitBuilder, Driver, GateKind, LineId};
 
@@ -41,7 +41,7 @@ use crate::pipeline::sampling::SamplingSegment;
 use crate::pipeline::twostate::TwoStateSegment;
 use crate::pipeline::{CompiledPipeline, StageTimings, WaveSchedule};
 use crate::segment::{RootSource, SegmentationPlan};
-use crate::strategy::{OrderingStrategy, SegmentationStrategy, StructureStrategy};
+use crate::strategy::SegmentationStrategy;
 use crate::SegmentTimings;
 
 fn malformed(message: impl Into<String>) -> CodecError {
@@ -257,26 +257,13 @@ pub(crate) fn write_options(w: &mut Writer, options: &Options) {
     }
     w.bool(options.no_fallback);
     w.bool(options.incremental);
-    w.u8(match options.strategy.ordering {
-        OrderingStrategy::Greedy => 0,
-        OrderingStrategy::Force => 1,
-    });
-    w.u8(match options.strategy.segmentation {
+    w.u8(match options.segmentation {
         SegmentationStrategy::TopoCover => 0,
         SegmentationStrategy::BalancedCut => 1,
     });
-    // Format version 3: sampling-backend fields. Appended after the
-    // segmentation tag so earlier fields keep their version-2 offsets.
     w.u64(options.seed);
     w.f64_bits(options.ci_half_width);
     w.f64_bits(options.ci_z);
-    // Format version 4: propagation kernel flavor. Feeding the tag into
-    // the payload (and thus the checksum and model key) is what keeps
-    // scalar and simd artifacts from ever sharing a cache slot.
-    w.u8(match options.kernel {
-        KernelMode::Scalar => 0,
-        KernelMode::Simd => 1,
-    });
 }
 
 fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
@@ -314,11 +301,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
     };
     let no_fallback = r.bool()?;
     let incremental = r.bool()?;
-    let ordering = match r.u8()? {
-        0 => OrderingStrategy::Greedy,
-        1 => OrderingStrategy::Force,
-        other => return Err(malformed(format!("unknown ordering tag {other}"))),
-    };
     let segmentation = match r.u8()? {
         0 => SegmentationStrategy::TopoCover,
         1 => SegmentationStrategy::BalancedCut,
@@ -327,11 +309,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
     let seed = r.u64()?;
     let ci_half_width = r.f64_bits()?;
     let ci_z = r.f64_bits()?;
-    let kernel = match r.u8()? {
-        0 => KernelMode::Scalar,
-        1 => KernelMode::Simd,
-        other => return Err(malformed(format!("unknown kernel tag {other}"))),
-    };
     Ok(Options {
         heuristic,
         max_fanin,
@@ -340,7 +317,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
         single_bn,
         boundary_correlation,
         sparse,
-        kernel,
         backend,
         budget: Budget {
             max_states,
@@ -349,10 +325,7 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
         },
         no_fallback,
         incremental,
-        strategy: StructureStrategy {
-            ordering,
-            segmentation,
-        },
+        segmentation,
         seed,
         ci_half_width,
         ci_z,
@@ -695,7 +668,6 @@ fn write_segment(w: &mut Writer, segment: &CompiledSegment) {
     w.usize(stats.state_space);
     w.usize(stats.compressed_cliques);
     w.usize(stats.kernel_cost);
-    w.bool(stats.force_ordered);
     // Stable order: HashMap iteration would make the bytes (and thus the
     // artifact checksum) nondeterministic across processes.
     let mut lines: Vec<(LineId, VarId)> = segment.lines().iter().map(|(&l, &v)| (l, v)).collect();
@@ -735,7 +707,6 @@ fn read_segment(
         state_space: r.usize()?,
         compressed_cliques: r.usize()?,
         kernel_cost: r.usize()?,
-        force_ordered: r.bool()?,
     };
     let n_lines = r.len(8)?;
     let mut lines = HashMap::with_capacity(n_lines);

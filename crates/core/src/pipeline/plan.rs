@@ -95,7 +95,7 @@ impl PlannedCircuit {
                 options.segment_budget,
                 options.check_interval,
                 options.heuristic,
-                options.strategy.segmentation,
+                options.segmentation,
             )
         };
         let line_map = (0..circuit.num_lines())

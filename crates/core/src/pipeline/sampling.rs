@@ -203,7 +203,6 @@ impl InferenceBackend for SamplingBackend {
             compressed_cliques: 0,
             // One sweep evaluates every gate once per sample.
             kernel_cost: gates.len() * SAMPLES_PER_BATCH,
-            force_ordered: false,
         };
         Ok(CompiledSegment::new(
             Box::new(SamplingSegment {

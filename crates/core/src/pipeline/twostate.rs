@@ -1,21 +1,23 @@
 //! The two-state (signal-probability) inference backend — the classic
-//! pre-LIDAG formulation as a pluggable ablation.
+//! pre-LIDAG formulation as a pluggable ablation (A2 in DESIGN.md).
 //!
-//! Each segment becomes a 2-state Bayesian network over signal
-//! probabilities (`P(line = 1)`); switching activity is then approximated
-//! by the temporal-independence proxy `2·p·(1−p)` encoded as the
-//! stationary product distribution `[q², q·p, p·q, p²]`. Exact for
-//! temporally independent inputs; blind to temporal correlation and to
-//! whatever spatial correlation segmentation drops (see
-//! [`crate::twostate`] for the standalone estimator and the error
-//! analysis).
+//! Before the paper's four-state formulation, probabilistic estimators
+//! modeled each line as a *two-state* variable (its value at a single
+//! clock) and recovered switching under a temporal-independence
+//! assumption. Here each segment becomes a 2-state Bayesian network over
+//! signal probabilities (`P(line = 1)`); switching activity is then
+//! approximated by the proxy `2·p·(1−p)` encoded as the stationary product
+//! distribution `[q², q·p, p·q, p²]`. Spatial correlation inside a segment
+//! stays exact; the proxy is exact for temporally independent inputs and
+//! blind to temporal correlation and to whatever spatial correlation
+//! segmentation drops.
 
 use std::sync::Mutex;
 
 use swact_bayesnet::{
     initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, PropagationState, VarId,
 };
-use swact_circuit::LineId;
+use swact_circuit::{GateKind, LineId};
 
 use crate::estimator::Options;
 use crate::pipeline::backend::{
@@ -23,8 +25,30 @@ use crate::pipeline::backend::{
 };
 use crate::pipeline::model::SegmentModel;
 use crate::segment::RootSource;
-use crate::twostate::gate_family_two_state;
 use crate::{EstimateError, TransitionDist};
+
+/// Two-state analogue of [`gate_family`](crate::gate_family): the
+/// distinct input lines plus the deterministic truth-table CPT over them,
+/// with repeated connections evaluated consistently.
+pub(crate) fn gate_family_two_state(kind: GateKind, inputs: &[LineId]) -> (Vec<LineId>, Cpt) {
+    let mut unique: Vec<LineId> = Vec::new();
+    let slot_of: Vec<usize> = inputs
+        .iter()
+        .map(|&line| match unique.iter().position(|&u| u == line) {
+            Some(pos) => pos,
+            None => {
+                unique.push(line);
+                unique.len() - 1
+            }
+        })
+        .collect();
+    let k = unique.len();
+    let cpt = Cpt::deterministic(1 << k, 2, |row| {
+        let bits = slot_of.iter().map(|&s| row >> (k - 1 - s) & 1 == 1);
+        kind.eval(bits) as usize
+    });
+    (unique, cpt)
+}
 
 /// Signal-probability propagation with the `2p(1−p)` switching proxy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,7 +118,6 @@ impl InferenceBackend for TwoStateBackend {
             state_space: compiled.state_space(),
             compressed_cliques: compiled.compressed_cliques(),
             kernel_cost: compiled.kernel_cost(),
-            force_ordered: false,
         };
         Ok(CompiledSegment::new(
             Box::new(TwoStateSegment {
@@ -154,9 +177,75 @@ impl InferenceBackend for TwoStateBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{estimate, Backend, InputModel, InputSpec};
+    use swact_circuit::catalog;
+
+    fn two_state() -> Options {
+        Options::with_backend(Backend::TwoState)
+    }
 
     #[test]
     fn backend_name() {
         assert_eq!(TwoStateBackend.name(), "twostate");
+    }
+
+    #[test]
+    fn two_state_cpt_truth_table() {
+        let (a, b) = (LineId::from_index(0), LineId::from_index(1));
+        let (parents, cpt) = gate_family_two_state(GateKind::Nand, &[a, b]);
+        assert_eq!(parents, vec![a, b]);
+        assert_eq!(cpt.as_rows()[0], vec![0.0, 1.0]); // 00 → 1
+        assert_eq!(cpt.as_rows()[3], vec![1.0, 0.0]); // 11 → 0
+                                                      // A repeated connection collapses to one parent: XOR(a, a) = 0.
+        let (parents, cpt) = gate_family_two_state(GateKind::Xor, &[a, a]);
+        assert_eq!(parents, vec![a]);
+        assert_eq!(cpt.as_rows(), vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
+    }
+
+    #[test]
+    fn signal_probabilities_match_four_state_model() {
+        // Both models compute the same exact signal probabilities.
+        let c17 = catalog::c17();
+        let spec = InputSpec::independent([0.3, 0.6, 0.5, 0.8, 0.2]);
+        let two = estimate(&c17, &spec, &two_state()).unwrap();
+        let four = estimate(&c17, &spec, &Options::single_bn()).unwrap();
+        for line in c17.line_ids() {
+            assert!(
+                (two.signal_probability(line) - four.signal_probability(line)).abs() < 1e-9,
+                "line {}",
+                c17.line_name(line)
+            );
+        }
+    }
+
+    #[test]
+    fn switching_proxy_matches_four_state_under_independence() {
+        // With temporally independent inputs, switching == 2p(1−p) holds
+        // exactly for every line of c17 (the two clock slices are
+        // independent).
+        let c17 = catalog::c17();
+        let spec = InputSpec::uniform(5);
+        let two = estimate(&c17, &spec, &two_state()).unwrap();
+        let four = estimate(&c17, &spec, &Options::single_bn()).unwrap();
+        for line in c17.line_ids() {
+            assert!(
+                (two.switching(line) - four.switching(line)).abs() < 1e-9,
+                "line {}",
+                c17.line_name(line)
+            );
+        }
+    }
+
+    #[test]
+    fn two_state_misses_temporal_correlation() {
+        // With *correlated* inputs the proxy must deviate from the exact
+        // four-state estimate — the ablation's point.
+        let c17 = catalog::c17();
+        let spec = InputSpec::from_models(vec![InputModel::new(0.5, 0.1).unwrap(); 5]);
+        let two = estimate(&c17, &spec, &two_state()).unwrap();
+        let four = estimate(&c17, &spec, &Options::single_bn()).unwrap();
+        let out = c17.outputs()[0];
+        let diff = (two.switching(out) - four.switching(out)).abs();
+        assert!(diff > 0.05, "expected visible temporal error, got {diff}");
     }
 }

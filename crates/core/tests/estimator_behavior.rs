@@ -3,7 +3,7 @@
 //! `pipeline/` — everything here runs against the public API.
 
 use swact::{
-    estimate, CompiledEstimator, EstimateError, InputModel, InputSpec, Options, Transition,
+    estimate, Backend, CompiledEstimator, EstimateError, InputModel, InputSpec, Options, Transition,
 };
 use swact_circuit::{catalog, Circuit, CircuitBuilder, GateKind};
 
@@ -207,6 +207,43 @@ fn spec_size_checked() {
         estimate(&c17, &InputSpec::uniform(4), &Options::default()),
         Err(EstimateError::InputCountMismatch { .. })
     ));
+}
+
+#[test]
+fn non_positive_or_non_finite_confidence_options_are_rejected() {
+    // A negative z-score would be reported as a converged interval with a
+    // negative half-width, and a NaN one would run to the sample cap.
+    let c17 = catalog::c17();
+    let spec = InputSpec::uniform(5);
+    let sampling = Options::with_backend(Backend::Sampling);
+    for (option, value) in [
+        ("ci_z", -1.96),
+        ("ci_z", 0.0),
+        ("ci_z", f64::NAN),
+        ("ci_half_width", -0.01),
+        ("ci_half_width", f64::INFINITY),
+    ] {
+        let mut options = sampling;
+        match option {
+            "ci_z" => options.ci_z = value,
+            _ => options.ci_half_width = value,
+        }
+        // Checked where options enter compile, whatever the backend: the
+        // degradation ladder can reach the sampler from any of them.
+        for options in [
+            options,
+            Options {
+                backend: Backend::Jtree,
+                ..options
+            },
+        ] {
+            match estimate(&c17, &spec, &options) {
+                Err(EstimateError::InvalidOption { option: got, .. }) => assert_eq!(got, option),
+                other => panic!("{option} = {value} must be rejected, got {other:?}"),
+            }
+        }
+    }
+    assert!(estimate(&c17, &spec, &sampling).is_ok());
 }
 
 #[test]

@@ -598,9 +598,6 @@ impl Engine {
             .degraded_segments
             .fetch_add(model.degradations().len() as u64, Ordering::Relaxed);
         self.metrics
-            .force_ordered_segments
-            .fetch_add(model.force_ordered_segments() as u64, Ordering::Relaxed);
-        self.metrics
             .sampled_segments
             .fetch_add(model.sampled_segments() as u64, Ordering::Relaxed);
         self.metrics
@@ -989,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn structure_strategies_never_share_a_cache_entry() {
+    fn segmentation_strategies_never_share_a_cache_entry() {
         let circuit = catalog::c17();
         let specs = specs_for(&circuit, 2);
         let engine = Engine::with_jobs(2);
@@ -1001,12 +998,15 @@ mod tests {
             .estimate_batch(
                 &circuit,
                 &specs,
-                &Options::with_strategy(swact::StructureStrategy::force()),
+                &Options {
+                    segmentation: swact::SegmentationStrategy::BalancedCut,
+                    ..Options::default()
+                },
             )
             .unwrap();
 
-        // The FORCE request must compile its own model, never be served
-        // the greedy-ordered artifact from the cache.
+        // The balanced-cut request must compile its own model, never be
+        // served the topo-cover artifact from the cache.
         assert_eq!(engine.cached_models(), 2);
         assert_eq!(engine.metrics().compile_misses, 2);
         assert_eq!(engine.metrics().compile_hits, 0);

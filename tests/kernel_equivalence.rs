@@ -1,27 +1,15 @@
 //! Circuit-level kernel equivalence: on real benchmark circuits, the
-//! blocked scalar kernels must calibrate the estimator's own junction
-//! trees bit-identically to the per-entry two-pass reference, and the
-//! opt-in simd kernels must agree to 1e-12 — with the simd estimate
-//! fingerprint pinned so any accidental change to its reassociation order
-//! (which would invalidate simd-keyed caches and artifacts) is caught.
+//! blocked kernels must calibrate the estimator's own junction trees
+//! bit-identically to the per-entry two-pass reference.
 
 use swact::pipeline::{PlannedCircuit, SegmentModel};
-use swact::{CompiledEstimator, InputSpec, KernelMode, Options};
+use swact::Options;
 use swact_bayesnet::{initial_potentials, CompiledTree, JunctionTree, SparseMode};
 use swact_circuit::catalog;
 
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Rebuilds each segment's junction tree exactly as the jtree backend
-/// does and checks blocked-scalar calibration against the two-pass
-/// reference, clique by clique, bit by bit; simd to 1e-12.
+/// does and checks blocked calibration against the two-pass reference,
+/// clique by clique, bit by bit.
 fn assert_kernels_equivalent(name: &str) {
     let circuit = catalog::benchmark(name).unwrap();
     let options = Options::default();
@@ -31,24 +19,11 @@ fn assert_kernels_equivalent(name: &str) {
         let tree = JunctionTree::compile_with(model.net(), options.heuristic).unwrap();
         let pots = initial_potentials(&tree, model.net());
         for sparse in [SparseMode::Off, SparseMode::Auto] {
-            let scalar = CompiledTree::from_parts_with_kernel(
-                tree.clone(),
-                pots.clone(),
-                sparse,
-                KernelMode::Scalar,
-            );
-            let simd = CompiledTree::from_parts_with_kernel(
-                tree.clone(),
-                pots.clone(),
-                sparse,
-                KernelMode::Simd,
-            );
-            let mut blocked = scalar.new_state();
-            let mut reference = scalar.new_state();
-            let mut vectored = simd.new_state();
-            scalar.calibrate(&mut blocked);
-            scalar.calibrate_two_pass(&mut reference);
-            simd.calibrate(&mut vectored);
+            let compiled = CompiledTree::from_parts_with(tree.clone(), pots.clone(), sparse);
+            let mut blocked = compiled.new_state();
+            let mut reference = compiled.new_state();
+            compiled.calibrate(&mut blocked);
+            compiled.calibrate_two_pass(&mut reference);
             for clique in 0..tree.num_cliques() {
                 let expect = reference.clique_potential(clique).values();
                 let got = blocked.clique_potential(clique).values();
@@ -57,17 +32,8 @@ fn assert_kernels_equivalent(name: &str) {
                     assert_eq!(
                         e.to_bits(),
                         g.to_bits(),
-                        "{name} segment {i} clique {clique}: blocked scalar \
+                        "{name} segment {i} clique {clique}: blocked kernels \
                          must be bit-identical to two-pass"
-                    );
-                }
-                for (e, g) in expect
-                    .iter()
-                    .zip(vectored.clique_potential(clique).values())
-                {
-                    assert!(
-                        (e - g).abs() <= 1e-12,
-                        "{name} segment {i} clique {clique}: simd drifted ({e} vs {g})"
                     );
                 }
             }
@@ -83,87 +49,4 @@ fn scalar_kernels_are_bit_identical_to_two_pass_on_c17() {
 #[test]
 fn scalar_kernels_are_bit_identical_to_two_pass_on_c432() {
     assert_kernels_equivalent("c432");
-}
-
-/// The simd estimate on c17, fingerprinted the same way as the scalar
-/// golden hashes in `backend_regression.rs`. Scalar stays pinned there;
-/// this pin freezes the simd reassociation order — a change to lane
-/// count or combine order shows up here before it silently invalidates
-/// every simd-keyed cache entry and artifact.
-#[test]
-fn simd_estimate_fingerprint_is_pinned_on_c17() {
-    let circuit = catalog::benchmark("c17").unwrap();
-    let spec = InputSpec::uniform(circuit.num_inputs());
-    let options = Options {
-        kernel: KernelMode::Simd,
-        ..Options::default()
-    };
-    let compiled = CompiledEstimator::compile(&circuit, &options).unwrap();
-    let est = compiled.estimate(&spec).unwrap();
-    let mut bytes = Vec::new();
-    for line in circuit.line_ids() {
-        for p in est.distribution(line).as_array() {
-            bytes.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
-    }
-    let hash = fnv1a(bytes.into_iter());
-    // On c17 every projection keeps a contiguous suffix run (`copy_len` >
-    // 1), so the simd sum-reduction shape (`copy_len == 1`, ≥ 8 reps)
-    // never triggers and simd is bit-identical to the scalar golden hash
-    // of `backend_regression.rs`. The pin still holds simd to those bits.
-    assert_eq!(
-        (hash, est.mean_switching().to_bits()),
-        (0x0820f9a42e22330d, 0x3fde1745d1745d17),
-        "simd fingerprint moved — the reassociation order changed"
-    );
-
-    // And the simd answer still agrees with the default scalar one.
-    let scalar = CompiledEstimator::compile(&circuit, &Options::default()).unwrap();
-    let scalar_est = scalar.estimate(&spec).unwrap();
-    for line in circuit.line_ids() {
-        assert!(
-            (est.switching(line) - scalar_est.switching(line)).abs() <= 1e-12,
-            "simd switching drifted on {}",
-            circuit.line_name(line)
-        );
-    }
-}
-
-/// On c432 under a skewed (non-dyadic) input spec the simd reduction
-/// shape (`copy_len == 1`, ≥ 8 reps) is both reached and numerically
-/// consequential, so the simd fingerprint genuinely diverges from
-/// scalar's — this pin freezes the 4-lane reassociation order itself.
-/// (Under the uniform spec the reassociated sums happen to be bit-exact,
-/// which is why the c17 pin above coincides with the scalar hash.)
-#[test]
-fn simd_estimate_fingerprint_is_pinned_on_c432() {
-    let circuit = catalog::benchmark("c432").unwrap();
-    let p1s: Vec<f64> = (0..circuit.num_inputs())
-        .map(|i| 0.05 + 0.9 * (i as f64 % 7.0) / 7.0)
-        .collect();
-    let spec = InputSpec::independent(p1s);
-    let fingerprint = |kernel: KernelMode| {
-        let options = Options {
-            kernel,
-            ..Options::default()
-        };
-        let compiled = CompiledEstimator::compile(&circuit, &options).unwrap();
-        let est = compiled.estimate(&spec).unwrap();
-        let mut bytes = Vec::new();
-        for line in circuit.line_ids() {
-            for p in est.distribution(line).as_array() {
-                bytes.extend_from_slice(&p.to_bits().to_le_bytes());
-            }
-        }
-        (fnv1a(bytes.into_iter()), est.mean_switching().to_bits())
-    };
-    let simd = fingerprint(KernelMode::Simd);
-    assert_eq!(
-        simd,
-        (0x3459f7c8d136c263, 0x3fd1a596107d0939),
-        "simd fingerprint moved — the reassociation order changed"
-    );
-    // The divergence from scalar is real: this is why the two kernel
-    // modes must never share a model key, cache entry, or artifact.
-    assert_ne!(simd, fingerprint(KernelMode::Scalar));
 }
