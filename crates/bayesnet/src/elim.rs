@@ -234,11 +234,12 @@ mod tests {
     fn agrees_with_junction_tree() {
         let (net, vars) = diamond();
         let tree = crate::JunctionTree::compile(&net).unwrap();
-        let mut prop = crate::Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(vars[3], 1).unwrap();
-        prop.calibrate();
+        let compiled = crate::CompiledTree::new(tree, &net).unwrap();
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, vars[3], 1).unwrap();
+        compiled.calibrate(&mut state);
         for var in &vars[..3] {
-            let jt = prop.marginal(*var);
+            let jt = compiled.marginal(&state, *var);
             let ve = eliminate(&net, *var, &[(vars[3], 1)], Heuristic::MinFill).unwrap();
             for (x, y) in jt.iter().zip(&ve) {
                 assert!((x - y).abs() < 1e-12);

@@ -105,6 +105,16 @@ impl Factor {
         Factor::new(scope, vec![1.0; size])
     }
 
+    /// An empty buffer for the `_into` kernels to fill: no scope and no
+    /// storage, so the allocating wrappers allocate exactly once.
+    fn unallocated() -> Factor {
+        Factor {
+            vars: Vec::new(),
+            cards: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
     /// A scalar (empty-scope) factor.
     pub fn scalar(value: f64) -> Factor {
         Factor {
@@ -278,58 +288,9 @@ impl Factor {
     /// Shared variables must have matching cardinalities (panics
     /// otherwise).
     pub fn product_marginalize(&self, other: &Factor, keep: &[VarId]) -> Factor {
-        let scope = self.merged_scope(other).unwrap_or_else(|e| panic!("{e}"));
-        let full_cards: Vec<usize> = scope.iter().map(|&(_, c)| c).collect();
-        let size: usize = full_cards.iter().product();
-        // Target scope and strides.
-        let scope_vars: Vec<VarId> = scope.iter().map(|&(v, _)| v).collect();
-        let kept = kept_positions(&scope_vars, keep);
-        let target_scope: Vec<(VarId, usize)> = kept.iter().map(|&k| scope[k]).collect();
-        let target_size: usize = target_scope.iter().map(|&(_, c)| c).product();
-        let mut values = vec![0.0f64; target_size.max(1)];
-        let self_strides = self.strides();
-        let other_strides = other.strides();
-        let mut sa = vec![0usize; scope.len()];
-        let mut sb = vec![0usize; scope.len()];
-        let mut st = vec![0usize; scope.len()];
-        for (pos, &(v, _)) in scope.iter().enumerate() {
-            if let Some(p) = self.position(v) {
-                sa[pos] = self_strides[p];
-            }
-            if let Some(p) = other.position(v) {
-                sb[pos] = other_strides[p];
-            }
-        }
-        {
-            let mut stride = 1usize;
-            for (rank, &k) in kept.iter().enumerate().rev() {
-                st[k] = stride;
-                stride *= target_scope[rank].1;
-            }
-        }
-        let mut digits = vec![0usize; scope.len()];
-        let (mut ia, mut ib, mut it) = (0usize, 0usize, 0usize);
-        for _ in 0..size {
-            values[it] += self.values[ia] * other.values[ib];
-            for pos in (0..scope.len()).rev() {
-                digits[pos] += 1;
-                ia += sa[pos];
-                ib += sb[pos];
-                it += st[pos];
-                if digits[pos] < full_cards[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                ia -= sa[pos] * full_cards[pos];
-                ib -= sb[pos] * full_cards[pos];
-                it -= st[pos] * full_cards[pos];
-            }
-        }
-        Factor {
-            vars: target_scope.iter().map(|&(v, _)| v).collect(),
-            cards: target_scope.iter().map(|&(_, c)| c).collect(),
-            values,
-        }
+        let mut out = Factor::unallocated();
+        self.product_marginalize_into(other, keep, &mut out);
+        out
     }
 
     /// [`product_marginalize`](Factor::product_marginalize) writing into a
@@ -517,45 +478,9 @@ impl Factor {
     /// Sums out every variable *not* in `keep`, returning the marginal over
     /// `keep ∩ scope` (missing variables are ignored).
     pub fn marginalize_keep(&self, keep: &[VarId]) -> Factor {
-        let kept = kept_positions(&self.vars, keep);
-        if kept.len() == self.vars.len() {
-            return self.clone();
-        }
-        let result_scope: Vec<(VarId, usize)> = kept
-            .iter()
-            .map(|&i| (self.vars[i], self.cards[i]))
-            .collect();
-        let result_cards: Vec<usize> = result_scope.iter().map(|&(_, c)| c).collect();
-        let size: usize = result_cards.iter().product();
-        let mut values = vec![0.0; size.max(1)];
-        // Walk the source with an odometer, maintaining the target index.
-        let mut target_strides = vec![0usize; self.vars.len()];
-        {
-            let mut stride = 1usize;
-            for (rank, &i) in kept.iter().enumerate().rev() {
-                target_strides[i] = stride;
-                stride *= result_cards[rank];
-            }
-        }
-        let mut digits = vec![0usize; self.vars.len()];
-        let mut target = 0usize;
-        for &v in &self.values {
-            values[target] += v;
-            for pos in (0..self.vars.len()).rev() {
-                digits[pos] += 1;
-                target += target_strides[pos];
-                if digits[pos] < self.cards[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                target -= target_strides[pos] * self.cards[pos];
-            }
-        }
-        Factor {
-            vars: result_scope.iter().map(|&(v, _)| v).collect(),
-            cards: result_cards,
-            values,
-        }
+        let mut out = Factor::unallocated();
+        self.marginalize_keep_into(keep, &mut out);
+        out
     }
 
     /// [`marginalize_keep`](Factor::marginalize_keep) writing into a

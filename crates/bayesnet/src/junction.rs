@@ -8,7 +8,7 @@ use crate::{BayesError, BayesNet, VarId};
 ///
 /// Compilation is the expensive, one-off half of inference; evidence
 /// propagation over the compiled structure (see
-/// [`Propagator`](crate::Propagator)) is cheap and repeatable — the property
+/// [`CompiledTree`](crate::CompiledTree)) is cheap and repeatable — the property
 /// the paper exploits to re-estimate under new input statistics without
 /// recompiling (§6).
 ///

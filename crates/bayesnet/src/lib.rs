@@ -12,9 +12,9 @@
 //!    min-fill/min-degree heuristics in [`triangulate`]), harvest maximal
 //!    cliques, and connect them into a **junction tree** with maximal
 //!    sepset weight (which guarantees the running-intersection property);
-//! 3. run the **HUGIN two-phase propagation** ([`Propagator`]): collect
-//!    evidence towards a root, distribute back, read calibrated marginals
-//!    off any clique.
+//! 3. run the **HUGIN two-phase propagation** ([`CompiledTree`] plus one
+//!    [`PropagationState`] per request): collect evidence towards a root,
+//!    distribute back, read calibrated marginals off any clique.
 //!
 //! The crate also provides the theory-side tools used by the paper's
 //! Section 3: [`dsep`] implements **d-separation** (Definition 2) and
@@ -27,7 +27,7 @@
 //! A two-node network `A → B` with binary variables:
 //!
 //! ```
-//! use swact_bayesnet::{BayesNet, Cpt, JunctionTree, Propagator};
+//! use swact_bayesnet::{BayesNet, Cpt, CompiledTree, JunctionTree};
 //!
 //! # fn main() -> Result<(), swact_bayesnet::BayesError> {
 //! let mut net = BayesNet::new();
@@ -39,10 +39,10 @@
 //!     Cpt::rows(vec![vec![0.9, 0.1], vec![0.2, 0.8]]),
 //! )?;
 //!
-//! let tree = JunctionTree::compile(&net)?;
-//! let mut prop = Propagator::new(&tree, &net)?;
-//! prop.calibrate();
-//! let pb = prop.marginal(b);
+//! let compiled = CompiledTree::new(JunctionTree::compile(&net)?, &net)?;
+//! let mut state = compiled.new_state();
+//! compiled.calibrate(&mut state);
+//! let pb = compiled.marginal(&state, b);
 //! assert!((pb[1] - (0.3 * 0.1 + 0.7 * 0.8)).abs() < 1e-12);
 //! # Ok(())
 //! # }
@@ -69,8 +69,6 @@ pub use error::BayesError;
 pub use factor::{Factor, VarId};
 pub use junction::JunctionTree;
 pub use network::{BayesNet, Cpt};
-pub use propagate::{
-    initial_potentials, CompiledTree, MessageCache, PropagationMode, PropagationState, Propagator,
-};
+pub use propagate::{initial_potentials, CompiledTree, MessageCache, PropagationState};
 pub use sparse::{SparseMode, SPARSE_COST_PER_ENTRY};
 pub use triangulate::Heuristic;

@@ -4,7 +4,8 @@ use crate::junction::JunctionTree;
 use crate::sparse::{self, PropagationKernels, SideProj};
 use crate::{BayesError, BayesNet, Factor, SparseMode, VarId};
 
-/// The immutable half of HUGIN propagation: clique structure, initial
+/// HUGIN-style two-phase evidence propagation over a compiled
+/// [`JunctionTree`]: the immutable half — clique structure, initial
 /// potentials, and the collect/distribute message schedule.
 ///
 /// Compiling a network is expensive (triangulation, CPT multiplication,
@@ -21,10 +22,25 @@ use crate::{BayesError, BayesNet, Factor, SparseMode, VarId};
 /// ```
 ///
 /// Each propagation borrows the compiled tree immutably and mutates only
-/// its own [`PropagationState`] (created by
-/// [`new_state`](CompiledTree::new_state), reusable across requests). The
-/// single-threaded [`Propagator`] wraps one of each behind the classic
-/// API.
+/// its own [`PropagationState`], created by
+/// [`new_state`](CompiledTree::new_state) and reusable across requests.
+/// The lifecycle of one request:
+///
+/// 1. [`set_evidence`](CompiledTree::set_evidence) /
+///    [`set_likelihood`](CompiledTree::set_likelihood) /
+///    [`insert_factor`](CompiledTree::insert_factor) record observations;
+/// 2. [`calibrate`](CompiledTree::calibrate) runs *collect* (leaves → root)
+///    then *distribute* (root → leaves); afterwards every clique potential
+///    is proportional to the joint marginal over its variables;
+/// 3. [`marginal`](CompiledTree::marginal) and friends read results; the
+///    pre-normalization mass is the probability of the evidence.
+///
+/// Re-quantified networks (e.g. new input statistics in the paper's §6)
+/// are absorbed by compiling new potentials over the same tree with
+/// [`initial_potentials`] and [`from_parts`](CompiledTree::from_parts) —
+/// no re-triangulation needed.
+///
+/// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct CompiledTree {
     tree: JunctionTree,
@@ -104,7 +120,14 @@ impl CompiledTree {
         potentials: Vec<Factor>,
         mode: SparseMode,
     ) -> CompiledTree {
-        validate_potentials(&tree, &potentials);
+        assert_eq!(
+            potentials.len(),
+            tree.num_cliques(),
+            "one potential per clique"
+        );
+        for (i, pot) in potentials.iter().enumerate() {
+            assert_eq!(pot.vars(), tree.clique(i), "potential scope mismatch");
+        }
         let schedule = build_schedule(&tree);
         let kernels = PropagationKernels::build(&tree, &potentials, mode);
         let mut home_vars: Vec<Vec<VarId>> = vec![Vec::new(); tree.num_cliques()];
@@ -173,22 +196,26 @@ impl CompiledTree {
         self.kernels.compressed_cliques()
     }
 
-    /// Cost-model estimate of one propagation sweep's kernel work, in
-    /// weighted table loads: a zero-compressed clique pays
+    /// Kernel cost of marginalizing clique `i` once, in weighted table
+    /// loads: a zero-compressed clique pays
     /// [`sparse::SPARSE_COST_PER_ENTRY`] indexed loads per surviving entry
     /// where a dense clique pays one (prefetched, sequential) load per
-    /// table entry. [`SparseMode::Auto`] minimizes exactly this quantity
-    /// per clique, so `Auto`'s cost is never above `Off`'s — pinned by the
-    /// c880 regression test that caught `Auto` losing to dense.
+    /// table entry.
+    fn clique_cost(&self, i: usize) -> usize {
+        match &self.kernels.support[i] {
+            Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
+            None => self.init_clique_pot[i].len(),
+        }
+    }
+
+    /// Cost-model estimate of one propagation sweep's kernel work, in
+    /// weighted table loads, summed per clique. [`SparseMode::Auto`]
+    /// minimizes exactly this quantity per clique, so `Auto`'s cost is
+    /// never above `Off`'s — pinned by the c880 regression test that
+    /// caught `Auto` losing to dense.
     pub fn kernel_cost(&self) -> usize {
-        self.kernels
-            .support
-            .iter()
-            .zip(&self.init_clique_pot)
-            .map(|(support, pot)| match support {
-                Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
-                None => pot.len(),
-            })
+        (0..self.init_clique_pot.len())
+            .map(|i| self.clique_cost(i))
             .sum()
     }
 
@@ -274,12 +301,11 @@ impl CompiledTree {
             calibrated: false,
             max_mode: false,
             evidence_probability: 1.0,
-            mode: PropagationMode::default(),
         }
     }
 
-    /// Records hard evidence `var = state` in `state`. See
-    /// [`Propagator::set_evidence`].
+    /// Records hard evidence `var = value` in `state`. Overwrites previous
+    /// evidence on the same variable and invalidates the calibration.
     ///
     /// # Errors
     ///
@@ -291,11 +317,21 @@ impl CompiledTree {
         var: VarId,
         value: usize,
     ) -> Result<(), BayesError> {
-        set_evidence_impl(&self.tree, state, var, value)
+        let card = self.tree.card(var);
+        if value >= card {
+            return Err(BayesError::EvidenceOutOfRange {
+                var: var.0,
+                state: value,
+                card,
+            });
+        }
+        state.evidence[var.index()] = Some(value);
+        state.calibrated = false;
+        Ok(())
     }
 
-    /// Records soft (likelihood) evidence in `state`. See
-    /// [`Propagator::set_likelihood`].
+    /// Records soft (likelihood) evidence in `state`: state `s` of `var`
+    /// is weighted by `weights[s]`. Invalidates the calibration.
     ///
     /// # Errors
     ///
@@ -307,11 +343,25 @@ impl CompiledTree {
         var: VarId,
         weights: Vec<f64>,
     ) -> Result<(), BayesError> {
-        set_likelihood_impl(&self.tree, state, var, weights)
+        let card = self.tree.card(var);
+        if weights.len() != card {
+            return Err(BayesError::EvidenceOutOfRange {
+                var: var.0,
+                state: weights.len(),
+                card,
+            });
+        }
+        state.likelihood[var.index()] = Some(weights);
+        state.calibrated = false;
+        Ok(())
     }
 
-    /// Records multi-variable soft evidence in `state`. See
-    /// [`Propagator::insert_factor`].
+    /// Records multi-variable soft evidence in `state`: `factor` is
+    /// multiplied into a clique containing its whole scope at calibration
+    /// time. This is the general form of
+    /// [`set_likelihood`](CompiledTree::set_likelihood) and is how
+    /// correlated priors over variable *groups* are injected (e.g. the
+    /// boundary-correlation factors of the `swact` estimator).
     ///
     /// # Errors
     ///
@@ -322,21 +372,29 @@ impl CompiledTree {
         state: &mut PropagationState,
         factor: Factor,
     ) -> Result<(), BayesError> {
-        insert_factor_impl(&self.tree, state, factor)
+        let Some(host) = self.clique_containing(factor.vars()) else {
+            return Err(BayesError::FactorOutsideClique {
+                vars: factor.vars().iter().map(|v| v.index() as u32).collect(),
+            });
+        };
+        state.soft_factors.push((host, factor));
+        state.calibrated = false;
+        Ok(())
+    }
+
+    /// The first clique containing every variable of `vars`.
+    fn clique_containing(&self, vars: &[VarId]) -> Option<usize> {
+        (0..self.tree.num_cliques()).find(|&c| {
+            vars.iter()
+                .all(|v| self.tree.clique(c).binary_search(v).is_ok())
+        })
     }
 
     /// Runs collect + distribute on `state`. Afterwards every clique
-    /// potential in `state` is proportional to `P(clique vars, evidence)`.
+    /// potential in `state` is proportional to `P(clique vars, evidence)`;
+    /// reads are O(clique).
     pub fn calibrate(&self, state: &mut PropagationState) {
-        calibrate_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            state,
-            false,
-            KernelDispatch::Blocked,
-        );
+        self.calibrate_through(state, false, KernelDispatch::Blocked);
     }
 
     /// [`calibrate`](CompiledTree::calibrate) through the per-entry
@@ -345,53 +403,94 @@ impl CompiledTree {
     /// equivalence tests. Not part of the supported API.
     #[doc(hidden)]
     pub fn calibrate_two_pass(&self, state: &mut PropagationState) {
-        calibrate_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            state,
-            false,
-            KernelDispatch::Legacy,
-        );
+        self.calibrate_through(state, false, KernelDispatch::Legacy);
+    }
+
+    /// Max-product calibration of `state`: afterwards every clique
+    /// potential holds *max*-marginals, and
+    /// [`most_probable_assignment`](CompiledTree::most_probable_assignment)
+    /// decodes the globally most probable joint state (MPE) consistent
+    /// with the evidence. Sum-based reads ([`marginal`](CompiledTree::marginal)
+    /// etc.) panic until [`calibrate`](CompiledTree::calibrate) runs again.
+    pub fn max_calibrate(&self, state: &mut PropagationState) {
+        self.calibrate_through(state, true, KernelDispatch::Blocked);
+    }
+
+    fn calibrate_through(
+        &self,
+        state: &mut PropagationState,
+        max_mode: bool,
+        dispatch: KernelDispatch,
+    ) {
+        self.enter_evidence(state);
+        // Collect: leaves towards roots.
+        for &(from, edge, to) in &self.schedule {
+            self.absorb(state, from, edge, to, max_mode, dispatch);
+        }
+        // Distribute: roots towards leaves.
+        for &(from, edge, to) in self.schedule.iter().rev() {
+            self.absorb(state, to, edge, from, max_mode, dispatch);
+        }
+        self.finish_calibration(state, max_mode);
     }
 
     /// [`calibrate`](CompiledTree::calibrate) with a per-edge collect
     /// message cache: each collect message is keyed by a bit-exact
     /// (`f64::to_bits`) hash of all evidence reachable from the sender's
-    /// subtree, and on a key match ([`PropagationMode::Warm`] states only)
-    /// the cached message is copied in verbatim instead of re-marginalizing
-    /// the sender — bit-identical by construction, because the key covers
+    /// subtree, and on a key match (only when `reuse` is set) the cached
+    /// message is copied in verbatim instead of re-marginalizing the
+    /// sender — bit-identical by construction, because the key covers
     /// every input the skipped marginalization could read. The sepset
     /// update and receiver multiply always run, so every clique potential
-    /// evolves exactly as in a cold calibration.
+    /// evolves exactly as in a plain calibration.
     ///
-    /// [`PropagationMode::Cold`] states never *read* the cache but still
-    /// refresh it, so a cold run warms the cache for subsequent sweeps.
-    /// Sum-product only; [`max_calibrate`](CompiledTree::max_calibrate)
-    /// never consults a cache (max-product messages differ).
+    /// With `reuse` off the cache is never *read* but still refreshed, so
+    /// a cold run warms the cache for subsequent sweeps. Sum-product only;
+    /// [`max_calibrate`](CompiledTree::max_calibrate) never consults a
+    /// cache (max-product messages differ).
     ///
     /// Returns `(reused, recomputed)` collect-message counts.
     pub fn calibrate_with_cache(
         &self,
         state: &mut PropagationState,
         cache: &MessageCache,
+        reuse: bool,
     ) -> (u64, u64) {
         assert_eq!(
             cache.slots.len(),
             self.tree.num_edges(),
             "message cache belongs to a different compiled tree"
         );
-        calibrate_cached_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            &self.home_vars,
-            state,
-            cache,
-            KernelDispatch::Blocked,
-        )
+        self.enter_evidence(state);
+        // Dependency keys, folded along the collect schedule: when edge
+        // (from → to) is processed, every child of `from` has already folded
+        // its subtree key into `acc[from]` (children precede parents), so
+        // `acc[from]` covers exactly the evidence the message depends on.
+        let mut acc = clique_evidence_hashes(&self.home_vars, state);
+        let mut edge_key = vec![0u128; self.tree.num_edges()];
+        for &(from, edge, to) in &self.schedule {
+            edge_key[edge] = acc[from];
+            acc[to] = fnv_u128(acc[to], edge_key[edge]);
+        }
+        // Collect, reusing cached messages where the key matches.
+        let mut reused = 0u64;
+        let mut recomputed = 0u64;
+        for &(from, edge, to) in &self.schedule {
+            if self.absorb_cached(state, (from, edge, to), edge_key[edge], cache, reuse) {
+                reused += 1;
+            } else {
+                recomputed += 1;
+            }
+        }
+        // Distribute: a parent-to-child message depends on evidence in the
+        // *whole* tree minus the child's subtree — in a sweep that always
+        // includes the perturbed prior, so caching it could never hit.
+        // Whole-tree reuse is the segment memoization layer's job.
+        for &(from, edge, to) in self.schedule.iter().rev() {
+            self.absorb(state, to, edge, from, false, KernelDispatch::Blocked);
+        }
+        self.finish_calibration(state, false);
+        (reused, recomputed)
     }
 
     /// Whether keying the message cache pays for itself on this tree.
@@ -427,90 +526,364 @@ impl CompiledTree {
         let collect_savings: usize = self
             .schedule
             .iter()
-            .map(|&(from, _, _)| match &self.kernels.support[from] {
-                Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
-                None => self.init_clique_pot[from].len(),
-            })
+            .map(|&(from, _, _)| self.clique_cost(from))
             .sum();
         collect_savings > hash_cost
     }
 
-    /// Max-product calibration of `state`; see
-    /// [`Propagator::max_calibrate`].
-    pub fn max_calibrate(&self, state: &mut PropagationState) {
-        calibrate_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            state,
-            true,
-            KernelDispatch::Blocked,
+    /// Calibration prologue: reset working potentials to the initials and
+    /// enter all recorded evidence, in a deterministic order.
+    fn enter_evidence(&self, state: &mut PropagationState) {
+        assert_eq!(
+            state.evidence.len(),
+            self.tree.num_vars(),
+            "state belongs to a different compiled tree"
+        );
+        // Reset working potentials to the initials, reusing the state's
+        // buffers when it has propagated on this tree before (the common
+        // case for pooled states): scopes are fixed per clique/sepset, so a
+        // value copy suffices and no factor is reallocated.
+        if state.clique_pot.len() == self.init_clique_pot.len() {
+            for (dst, src) in state.clique_pot.iter_mut().zip(&self.init_clique_pot) {
+                debug_assert_eq!(dst.vars(), src.vars());
+                dst.values_mut().copy_from_slice(src.values());
+            }
+        } else {
+            state.clique_pot = self.init_clique_pot.clone();
+        }
+        if state.sep_pot.len() == self.tree.num_edges() {
+            for sep in &mut state.sep_pot {
+                sep.values_mut().fill(1.0);
+            }
+        } else {
+            state.sep_pot = ones_sepsets(&self.tree);
+        }
+        for (raw, obs) in state.evidence.iter().enumerate() {
+            if let Some(value) = obs {
+                let var = VarId::from_index(raw);
+                let clique = self.tree.home_clique(var);
+                state.clique_pot[clique].reduce(var, *value);
+            }
+        }
+        for (raw, weights) in state.likelihood.iter().enumerate() {
+            if let Some(weights) = weights {
+                let var = VarId::from_index(raw);
+                let clique = self.tree.home_clique(var);
+                for (value, &w) in weights.iter().enumerate() {
+                    state.clique_pot[clique].scale_state(var, value, w);
+                }
+            }
+        }
+        for (host, factor) in &state.soft_factors {
+            state.clique_pot[*host].mul_assign_sub(factor);
+        }
+    }
+
+    /// Calibration epilogue: evidence probability and flags.
+    fn finish_calibration(&self, state: &mut PropagationState, max_mode: bool) {
+        // Probability of evidence: product over components of clique mass.
+        let mut p = 1.0;
+        for &root in self.tree.roots() {
+            p *= state.clique_pot[root].total();
+        }
+        state.evidence_probability = p;
+        state.calibrated = true;
+        state.max_mode = max_mode;
+    }
+
+    /// The sender and receiver projections of `edge` when `from` sends.
+    fn edge_sides(&self, from: usize, edge: usize) -> (&SideProj, &SideProj) {
+        let proj = &self.kernels.edge_proj[edge];
+        if from == self.tree.edge(edge).a {
+            (&proj.a, &proj.b)
+        } else {
+            (&proj.b, &proj.a)
+        }
+    }
+
+    /// One HUGIN absorption: `to` absorbs from `from` across `edge`, entirely
+    /// through the compile-time projection tables — no scope merges, no
+    /// odometer walks, no allocation (the message lives in `state.scratch`).
+    fn absorb(
+        &self,
+        state: &mut PropagationState,
+        from: usize,
+        edge: usize,
+        to: usize,
+        max_mode: bool,
+        dispatch: KernelDispatch,
+    ) {
+        let (proj_from, proj_to) = self.edge_sides(from, edge);
+        let sep_len = state.sep_pot[edge].len();
+        state.scratch.resize(sep_len, 0.0);
+        // (1) New sepset potential: marginalize the sender into scratch.
+        marginalize_side(
+            state.clique_pot[from].values(),
+            self.kernels.support[from].as_deref(),
+            proj_from,
+            &mut state.scratch[..sep_len],
+            max_mode,
+            dispatch,
+        );
+        self.commit_message(state, edge, to, proj_to, dispatch);
+    }
+
+    /// [`absorb`](CompiledTree::absorb) with a per-edge message cache
+    /// (sum-product, blocked kernels): on a dependency-key match (when
+    /// `reuse` is set) the cached message is copied into scratch instead of
+    /// re-marginalizing the sender; otherwise the message is computed and
+    /// the slot refreshed. The sepset store and receiver multiply run
+    /// either way, keeping the state's evolution bit-identical to a plain
+    /// absorb. Returns whether the message was reused.
+    fn absorb_cached(
+        &self,
+        state: &mut PropagationState,
+        (from, edge, to): (usize, usize, usize),
+        key: u128,
+        cache: &MessageCache,
+        reuse: bool,
+    ) -> bool {
+        let (proj_from, proj_to) = self.edge_sides(from, edge);
+        let sep_len = state.sep_pot[edge].len();
+        state.scratch.resize(sep_len, 0.0);
+        // Cached-message lock poison recovery: slots hold plain owned data
+        // that is consistent after any panic (key and values are written
+        // together under the lock), so the entry stays usable.
+        let mut reused = false;
+        if reuse {
+            let slot = cache.slots[edge]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(cached) = slot.as_ref().filter(|c| c.key == key) {
+                state.scratch[..sep_len].copy_from_slice(&cached.values);
+                reused = true;
+            }
+        }
+        if !reused {
+            marginalize_side(
+                state.clique_pot[from].values(),
+                self.kernels.support[from].as_deref(),
+                proj_from,
+                &mut state.scratch[..sep_len],
+                false,
+                KernelDispatch::Blocked,
+            );
+            let mut slot = cache.slots[edge]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match &mut *slot {
+                Some(cached) => {
+                    cached.key = key;
+                    cached.values.clear();
+                    cached.values.extend_from_slice(&state.scratch[..sep_len]);
+                }
+                None => {
+                    *slot = Some(CachedMessage {
+                        key,
+                        values: state.scratch[..sep_len].to_vec(),
+                    });
+                }
+            }
+        }
+        self.commit_message(state, edge, to, proj_to, KernelDispatch::Blocked);
+        reused
+    }
+
+    /// Steps (2) and (3) of an absorption, shared by the plain and cached
+    /// paths: store the new sepset potential (turning scratch into the
+    /// update ratio) and multiply the update into the receiver.
+    fn commit_message(
+        &self,
+        state: &mut PropagationState,
+        edge: usize,
+        to: usize,
+        proj_to: &SideProj,
+        dispatch: KernelDispatch,
+    ) {
+        let sep_len = state.sep_pot[edge].len();
+        // (2) Store the message, turning scratch into the update ratio new/old
+        // with the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender
+        // gained mass the old sepset never saw — a propagation-order bug).
+        for (slot, msg) in state.sep_pot[edge]
+            .values_mut()
+            .iter_mut()
+            .zip(state.scratch[..sep_len].iter_mut())
+        {
+            let old = *slot;
+            let new = *msg;
+            *slot = new;
+            *msg = if old == 0.0 {
+                assert!(new == 0.0, "division of nonzero {new} by zero sepset entry");
+                0.0
+            } else {
+                new / old
+            };
+        }
+        // (3) Multiply the update into the receiver.
+        multiply_side(
+            state.clique_pot[to].values_mut(),
+            self.kernels.support[to].as_deref(),
+            proj_to,
+            &state.scratch[..sep_len],
+            dispatch,
         );
     }
 
-    /// The posterior marginal `P(var | evidence)` from a calibrated state.
+    /// The posterior marginal `P(var | evidence)` from a calibrated state,
+    /// as a probability vector.
     ///
     /// # Panics
     ///
     /// Panics if `state` is not sum-calibrated.
     pub fn marginal(&self, state: &PropagationState, var: VarId) -> Vec<f64> {
-        marginal_impl(&self.tree, state, var)
+        state.assert_sum_calibrated();
+        let clique = self.tree.home_clique(var);
+        let mut m = state.clique_pot[clique].marginalize_keep(&[var]);
+        m.normalize();
+        m.values().to_vec()
     }
 
-    /// The joint posterior over a variable set contained in some clique;
-    /// see [`Propagator::joint_marginal`].
+    /// The joint posterior over a variable set, provided some clique
+    /// contains all of them (returns `None` otherwise). Normalized.
     ///
     /// # Panics
     ///
     /// Panics if `state` is not sum-calibrated.
     pub fn joint_marginal(&self, state: &PropagationState, vars: &[VarId]) -> Option<Factor> {
-        joint_marginal_impl(&self.tree, state, vars)
+        state.assert_sum_calibrated();
+        let clique = self.clique_containing(vars)?;
+        let mut m = state.clique_pot[clique].marginalize_keep(vars);
+        m.normalize();
+        Some(m)
     }
 
-    /// The exact pairwise posterior for any two variables in one
-    /// component; see [`Propagator::pairwise_marginal`].
+    /// The exact posterior joint `P(a, b | evidence)` for *any* two
+    /// variables in the same junction-tree component — even when no single
+    /// clique contains both — by marginalizing along the clique path
+    /// between their home cliques. Returns `None` across components.
+    /// Normalized, scope sorted.
+    ///
+    /// Runs in O(path length × clique size); this powers the
+    /// boundary-correlation forwarding of the `swact` estimator. The
+    /// per-step messages of the walk are fused (product + marginalize in
+    /// one pass) into two ping-ponged buffers owned by `state`, so
+    /// repeated reads allocate nothing but the returned joint once the
+    /// buffers have grown to the path's largest message.
     ///
     /// # Panics
     ///
     /// Panics if `state` is not sum-calibrated or `a == b`.
     pub fn pairwise_marginal(
         &self,
-        state: &PropagationState,
-        a: VarId,
-        b: VarId,
-    ) -> Option<Factor> {
-        pairwise_marginal_impl(&self.tree, state, a, b)
-    }
-
-    /// [`pairwise_marginal`](CompiledTree::pairwise_marginal) routed
-    /// through the state's path scratch factors: the per-step messages of
-    /// the clique-path walk are fused (product + marginalize in one pass)
-    /// into two ping-ponged buffers owned by `state`, so repeated pairwise
-    /// reads allocate no intermediate factor tables once the buffers have
-    /// grown to the path's largest message. Results are bit-identical to
-    /// the borrowing form — same kernels, same order, reused storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is not sum-calibrated or `a == b`.
-    pub fn pairwise_marginal_scratch(
-        &self,
         state: &mut PropagationState,
         a: VarId,
         b: VarId,
     ) -> Option<Factor> {
-        pairwise_marginal_scratch_impl(&self.tree, state, a, b)
+        assert_ne!(a, b, "pairwise marginal needs two distinct variables");
+        if let Some(joint) = self.joint_marginal(state, &[a.min(b), a.max(b)]) {
+            return Some(joint);
+        }
+        let tree = &self.tree;
+        let ca = tree.home_clique(a);
+        let cb = tree.home_clique(b);
+        let path = tree.clique_path(ca, cb)?;
+        // Walk the path keeping a factor over {a} ∪ current sepset: the
+        // calibrated joint factorizes as Π φ_C / Π φ_S along the path.
+        // Marginalizing *before* multiplying into the next clique keeps
+        // every intermediate at sepset-plus-one-variable size.
+        // An empty path means ca == cb, which joint_marginal above would
+        // have handled; bail out rather than panic if that invariant slips.
+        let (first_edge, _) = *path.first()?;
+        state.path_keep.clear();
+        state
+            .path_keep
+            .extend_from_slice(&tree.edge(first_edge).sepset);
+        state.path_keep.push(a);
+        state.clique_pot[ca].marginalize_keep_into(&state.path_keep, &mut state.path_msg);
+        state.path_msg.div_assign_sub(&state.sep_pot[first_edge]);
+        for window in path.windows(2) {
+            let (_, clique) = window[0];
+            let (next_edge, _) = window[1];
+            state.path_keep.clear();
+            state
+                .path_keep
+                .extend_from_slice(&tree.edge(next_edge).sepset);
+            state.path_keep.push(a);
+            state.clique_pot[clique].product_marginalize_into(
+                &state.path_msg,
+                &state.path_keep,
+                &mut state.path_next,
+            );
+            state.path_next.div_assign_sub(&state.sep_pot[next_edge]);
+            std::mem::swap(&mut state.path_msg, &mut state.path_next);
+        }
+        let (_, last_clique) = *path.last()?;
+        let mut joint = state.clique_pot[last_clique]
+            .product_marginalize(&state.path_msg, &[a.min(b), a.max(b)]);
+        joint.normalize();
+        Some(joint)
     }
 
-    /// Decodes the most probable explanation from a max-calibrated state;
-    /// see [`Propagator::most_probable_assignment`].
+    /// Decodes the most probable explanation (MPE) from a max-calibrated
+    /// state: the jointly most probable assignment of *all* variables given
+    /// the evidence, plus its (unnormalized) probability
+    /// `P(assignment, evidence)`. Requires a prior
+    /// [`max_calibrate`](CompiledTree::max_calibrate).
+    ///
+    /// Decoding fixes the root clique's argmax and walks outward, pinning
+    /// each sepset before maximizing the next clique — max-calibration
+    /// guarantees this greedy trace is globally optimal.
     ///
     /// # Panics
     ///
     /// Panics if `state` is not max-calibrated.
     pub fn most_probable_assignment(&self, state: &PropagationState) -> (Vec<usize>, f64) {
-        most_probable_assignment_impl(&self.tree, &self.schedule, state)
+        assert!(
+            state.calibrated && state.max_mode,
+            "call max_calibrate() first"
+        );
+        let tree = &self.tree;
+        let mut assignment = vec![usize::MAX; tree.num_vars()];
+        let mut probability = 1.0f64;
+        // Visit cliques root-first per component: component roots, then
+        // children in root-to-leaf order (the reversed collect schedule).
+        let mut visited = vec![false; tree.num_cliques()];
+        let mut order: Vec<usize> = Vec::with_capacity(tree.num_cliques());
+        for &root in tree.roots() {
+            order.push(root);
+            visited[root] = true;
+        }
+        for &(child, _, _) in self.schedule.iter().rev() {
+            if !visited[child] {
+                visited[child] = true;
+                order.push(child);
+            }
+        }
+        let roots: std::collections::HashSet<usize> = tree.roots().iter().copied().collect();
+        for &clique_idx in &order {
+            let clique = tree.clique(clique_idx);
+            let mut pot = state.clique_pot[clique_idx].clone();
+            // Pin already-decided variables.
+            for &v in clique {
+                if assignment[v.index()] != usize::MAX {
+                    pot.reduce(v, assignment[v.index()]);
+                }
+            }
+            let (idx, value) = pot.argmax();
+            let states = pot.assignment_of(idx);
+            for (pos, &v) in clique.iter().enumerate() {
+                if assignment[v.index()] == usize::MAX {
+                    assignment[v.index()] = states[pos];
+                }
+            }
+            // Component roots contribute the component's max probability;
+            // later cliques only refine the assignment.
+            if roots.contains(&clique_idx) {
+                probability *= value;
+            }
+        }
+        debug_assert!(assignment.iter().all(|&s| s != usize::MAX));
+        (assignment, probability)
     }
 }
 
@@ -538,8 +911,8 @@ pub struct PropagationState {
     /// allocates nothing in steady state.
     scratch: Vec<f64>,
     /// Ping-pong factor buffers for the pairwise clique-path walk
-    /// ([`CompiledTree::pairwise_marginal_scratch`]), so repeated boundary
-    /// reads allocate no intermediate tables in steady state.
+    /// ([`CompiledTree::pairwise_marginal`]), so repeated boundary reads
+    /// allocate no intermediate tables in steady state.
     path_msg: Factor,
     path_next: Factor,
     /// Reused scope buffer for the same walk (sepset plus one variable).
@@ -549,23 +922,6 @@ pub struct PropagationState {
     max_mode: bool,
     /// Probability of the inserted evidence, valid after calibration.
     evidence_probability: f64,
-    /// Whether [`CompiledTree::calibrate_with_cache`] may *read* cached
-    /// messages ([`Warm`](PropagationMode::Warm)) or only refresh them
-    /// ([`Cold`](PropagationMode::Cold), the default).
-    mode: PropagationMode,
-}
-
-/// Cache policy of a [`PropagationState`] under
-/// [`CompiledTree::calibrate_with_cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PropagationMode {
-    /// Never read cached messages; recompute everything (and refresh the
-    /// cache with the results). The verification baseline.
-    #[default]
-    Cold,
-    /// Reuse cached collect messages whose dependency key matches
-    /// bit-exactly; recompute the rest.
-    Warm,
 }
 
 /// Per-edge collect-message cache for
@@ -590,18 +946,6 @@ struct CachedMessage {
 }
 
 impl PropagationState {
-    /// The cache policy [`CompiledTree::calibrate_with_cache`] applies to
-    /// this state.
-    pub fn mode(&self) -> PropagationMode {
-        self.mode
-    }
-
-    /// Sets the cache policy. Does not invalidate the calibration: the
-    /// mode changes *how* messages are obtained, never their values.
-    pub fn set_mode(&mut self, mode: PropagationMode) {
-        self.mode = mode;
-    }
-
     /// Removes all evidence (hard and soft) and invalidates the
     /// calibration, making the state ready for the next request.
     pub fn clear_evidence(&mut self) {
@@ -630,273 +974,10 @@ impl PropagationState {
     pub fn clique_potential(&self, i: usize) -> &Factor {
         &self.clique_pot[i]
     }
-}
 
-/// HUGIN-style two-phase evidence propagation over a compiled
-/// [`JunctionTree`].
-///
-/// A `Propagator` owns the clique and sepset potentials. Its lifecycle:
-///
-/// 1. [`new`](Propagator::new) multiplies every CPT into its assigned
-///    clique (initialization);
-/// 2. [`set_evidence`](Propagator::set_evidence) /
-///    [`set_likelihood`](Propagator::set_likelihood) record observations;
-/// 3. [`calibrate`](Propagator::calibrate) runs *collect* (leaves → root)
-///    then *distribute* (root → leaves); afterwards every clique potential
-///    is proportional to the joint marginal over its variables;
-/// 4. [`marginal`](Propagator::marginal) and friends read results; the
-///    pre-normalization mass is the probability of the evidence.
-///
-/// Re-quantified networks (e.g. new input statistics in the paper's §6)
-/// are absorbed with [`reinitialize`](Propagator::reinitialize) — no
-/// recompilation needed.
-///
-/// Internally this is a thin single-threaded wrapper pairing the shared
-/// immutable compile artifact with one mutable [`PropagationState`]; for
-/// concurrent or pooled propagation over one compile, use
-/// [`CompiledTree`] directly.
-///
-/// See the [crate docs](crate) for an end-to-end example.
-#[derive(Debug, Clone)]
-pub struct Propagator<'t> {
-    tree: &'t JunctionTree,
-    /// Initial potentials (CPT products), kept for cheap resets.
-    init_clique_pot: Vec<Factor>,
-    /// Collect schedule shared with [`CompiledTree`]; see there.
-    schedule: Vec<(usize, usize, usize)>,
-    /// Precomputed absorb kernels (rebuilt on
-    /// [`reinitialize`](Propagator::reinitialize) — the zero pattern
-    /// belongs to the potentials, not the tree).
-    kernels: PropagationKernels,
-    state: PropagationState,
-}
-
-impl<'t> Propagator<'t> {
-    /// Creates a propagator and initializes clique potentials from the
-    /// network's CPTs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::Empty`] if the network is empty. The network
-    /// must be the one the tree was compiled from (same variables and
-    /// cardinalities); mismatches panic.
-    pub fn new(tree: &'t JunctionTree, net: &BayesNet) -> Result<Propagator<'t>, BayesError> {
-        if net.num_vars() == 0 {
-            return Err(BayesError::Empty);
-        }
-        Ok(Propagator::from_initial(
-            tree,
-            initial_potentials(tree, net),
-        ))
-    }
-
-    /// Creates a propagator from precomputed initial clique potentials
-    /// (as produced by [`initial_potentials`]) — skipping the CPT
-    /// multiplication entirely. This is the fast path for workloads that
-    /// compile once and re-propagate many times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the potential count or any potential's scope disagrees
-    /// with the tree.
-    pub fn from_initial(tree: &'t JunctionTree, potentials: Vec<Factor>) -> Propagator<'t> {
-        validate_potentials(tree, &potentials);
-        let schedule = build_schedule(tree);
-        let kernels = PropagationKernels::build(tree, &potentials, SparseMode::default());
-        let state = PropagationState {
-            clique_pot: potentials.clone(),
-            sep_pot: ones_sepsets(tree),
-            evidence: vec![None; tree.num_vars()],
-            likelihood: vec![None; tree.num_vars()],
-            soft_factors: Vec::new(),
-            scratch: Vec::with_capacity(tree.max_sepset_states()),
-            path_msg: Factor::scalar(1.0),
-            path_next: Factor::scalar(1.0),
-            path_keep: Vec::new(),
-            calibrated: false,
-            max_mode: false,
-            evidence_probability: 1.0,
-            mode: PropagationMode::default(),
-        };
-        Propagator {
-            tree,
-            init_clique_pot: potentials,
-            schedule,
-            kernels,
-            state,
-        }
-    }
-
-    /// Rebuilds the initial potentials from (possibly re-quantified) CPTs,
-    /// keeping the compiled structure and any evidence. Invalidates the
-    /// calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` does not match the compiled tree (different variable
-    /// count or cardinalities).
-    pub fn reinitialize(&mut self, net: &BayesNet) {
-        let pots = initial_potentials(self.tree, net);
-        self.kernels = PropagationKernels::build(self.tree, &pots, SparseMode::default());
-        self.state.clique_pot = pots.clone();
-        self.init_clique_pot = pots;
-        self.state.sep_pot = ones_sepsets(self.tree);
-        self.state.calibrated = false;
-    }
-
-    /// Records hard evidence `var = state`. Overwrites previous evidence on
-    /// the same variable and invalidates the calibration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::EvidenceOutOfRange`] if `state` exceeds the
-    /// variable's cardinality.
-    pub fn set_evidence(&mut self, var: VarId, state: usize) -> Result<(), BayesError> {
-        set_evidence_impl(self.tree, &mut self.state, var, state)
-    }
-
-    /// Records soft (likelihood) evidence: state `s` of `var` is weighted
-    /// by `weights[s]`. Invalidates the calibration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::EvidenceOutOfRange`] if the weight vector
-    /// length differs from the variable's cardinality.
-    pub fn set_likelihood(&mut self, var: VarId, weights: Vec<f64>) -> Result<(), BayesError> {
-        set_likelihood_impl(self.tree, &mut self.state, var, weights)
-    }
-
-    /// Records multi-variable soft evidence: `factor` is multiplied into a
-    /// clique containing its whole scope at calibration time. This is the
-    /// general form of [`set_likelihood`](Propagator::set_likelihood) and
-    /// is how correlated priors over variable *groups* are injected (e.g.
-    /// the boundary-correlation factors of the `swact` estimator).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::FactorOutsideClique`] when no clique contains
-    /// the factor's scope.
-    pub fn insert_factor(&mut self, factor: Factor) -> Result<(), BayesError> {
-        insert_factor_impl(self.tree, &mut self.state, factor)
-    }
-
-    /// Removes all evidence (hard and soft) and invalidates the calibration.
-    pub fn clear_evidence(&mut self) {
-        self.state.clear_evidence();
-    }
-
-    /// Runs collect + distribute. Afterwards every clique potential is
-    /// proportional to `P(clique vars, evidence)`; reads are O(clique).
-    pub fn calibrate(&mut self) {
-        calibrate_impl(
-            self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            &mut self.state,
-            false,
-            KernelDispatch::Blocked,
-        );
-    }
-
-    /// Max-product calibration: afterwards every clique potential holds
-    /// *max*-marginals, and
-    /// [`most_probable_assignment`](Propagator::most_probable_assignment)
-    /// decodes the globally most probable joint state (MPE) consistent
-    /// with the evidence. Sum-based reads ([`marginal`](Propagator::marginal)
-    /// etc.) panic until [`calibrate`](Propagator::calibrate) runs again.
-    pub fn max_calibrate(&mut self) {
-        calibrate_impl(
-            self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            &mut self.state,
-            true,
-            KernelDispatch::Blocked,
-        );
-    }
-
-    /// Whether [`calibrate`](Propagator::calibrate) has run since the last
-    /// modification.
-    pub fn is_calibrated(&self) -> bool {
-        self.state.calibrated
-    }
-
-    /// The probability of the inserted evidence (1 when there is none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated.
-    pub fn evidence_probability(&self) -> f64 {
-        self.state.evidence_probability()
-    }
-
-    /// The posterior marginal `P(var | evidence)` as a probability vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated.
-    pub fn marginal(&self, var: VarId) -> Vec<f64> {
-        marginal_impl(self.tree, &self.state, var)
-    }
-
-    /// The joint posterior over a variable set, provided some clique
-    /// contains all of them (returns `None` otherwise). Normalized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated.
-    pub fn joint_marginal(&self, vars: &[VarId]) -> Option<Factor> {
-        joint_marginal_impl(self.tree, &self.state, vars)
-    }
-
-    /// The exact posterior joint `P(a, b | evidence)` for *any* two
-    /// variables in the same junction-tree component — even when no single
-    /// clique contains both — by marginalizing along the clique path
-    /// between their home cliques. Returns `None` across components.
-    /// Normalized, scope sorted.
-    ///
-    /// Runs in O(path length × clique size); this powers the
-    /// boundary-correlation forwarding of the `swact` estimator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated or `a == b`.
-    pub fn pairwise_marginal(&self, a: VarId, b: VarId) -> Option<Factor> {
-        pairwise_marginal_impl(self.tree, &self.state, a, b)
-    }
-
-    /// Decodes the most probable explanation (MPE): the jointly most
-    /// probable assignment of *all* variables given the evidence, plus its
-    /// (unnormalized) probability `P(assignment, evidence)`. Requires a
-    /// prior [`max_calibrate`](Propagator::max_calibrate).
-    ///
-    /// Decoding fixes the root clique's argmax and walks outward, pinning
-    /// each sepset before maximizing the next clique — max-calibration
-    /// guarantees this greedy trace is globally optimal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not max-calibrated.
-    pub fn most_probable_assignment(&self) -> (Vec<usize>, f64) {
-        most_probable_assignment_impl(self.tree, &self.schedule, &self.state)
-    }
-
-    /// The calibrated (unnormalized) potential of clique `i`.
-    pub fn clique_potential(&self, i: usize) -> &Factor {
-        self.state.clique_potential(i)
-    }
-}
-
-fn validate_potentials(tree: &JunctionTree, potentials: &[Factor]) {
-    assert_eq!(
-        potentials.len(),
-        tree.num_cliques(),
-        "one potential per clique"
-    );
-    for (i, pot) in potentials.iter().enumerate() {
-        assert_eq!(pot.vars(), tree.clique(i), "potential scope mismatch");
+    fn assert_sum_calibrated(&self) {
+        assert!(self.calibrated, "call calibrate() first");
+        assert!(!self.max_mode, "sum-calibration required; call calibrate()");
     }
 }
 
@@ -908,125 +989,6 @@ fn ones_sepsets(tree: &JunctionTree) -> Vec<Factor> {
     (0..tree.num_edges())
         .map(|e| Factor::ones(scope_of(tree, &tree.edge(e).sepset)))
         .collect()
-}
-
-fn set_evidence_impl(
-    tree: &JunctionTree,
-    state: &mut PropagationState,
-    var: VarId,
-    value: usize,
-) -> Result<(), BayesError> {
-    let card = tree.card(var);
-    if value >= card {
-        return Err(BayesError::EvidenceOutOfRange {
-            var: var.0,
-            state: value,
-            card,
-        });
-    }
-    state.evidence[var.index()] = Some(value);
-    state.calibrated = false;
-    Ok(())
-}
-
-fn set_likelihood_impl(
-    tree: &JunctionTree,
-    state: &mut PropagationState,
-    var: VarId,
-    weights: Vec<f64>,
-) -> Result<(), BayesError> {
-    let card = tree.card(var);
-    if weights.len() != card {
-        return Err(BayesError::EvidenceOutOfRange {
-            var: var.0,
-            state: weights.len(),
-            card,
-        });
-    }
-    state.likelihood[var.index()] = Some(weights);
-    state.calibrated = false;
-    Ok(())
-}
-
-fn insert_factor_impl(
-    tree: &JunctionTree,
-    state: &mut PropagationState,
-    factor: Factor,
-) -> Result<(), BayesError> {
-    let host = (0..tree.num_cliques()).find(|&c| {
-        factor
-            .vars()
-            .iter()
-            .all(|v| tree.clique(c).binary_search(v).is_ok())
-    });
-    let Some(host) = host else {
-        return Err(BayesError::FactorOutsideClique {
-            vars: factor.vars().iter().map(|v| v.index() as u32).collect(),
-        });
-    };
-    state.soft_factors.push((host, factor));
-    state.calibrated = false;
-    Ok(())
-}
-
-/// Shared calibration prologue: reset working potentials to the initials
-/// and enter all recorded evidence, in a deterministic order.
-fn enter_evidence(tree: &JunctionTree, init_clique_pot: &[Factor], state: &mut PropagationState) {
-    assert_eq!(
-        state.evidence.len(),
-        tree.num_vars(),
-        "state belongs to a different compiled tree"
-    );
-    // Reset working potentials to the initials, reusing the state's
-    // buffers when it has propagated on this tree before (the common case
-    // for pooled states): scopes are fixed per clique/sepset, so a value
-    // copy suffices and no factor is reallocated.
-    if state.clique_pot.len() == init_clique_pot.len() {
-        for (dst, src) in state.clique_pot.iter_mut().zip(init_clique_pot) {
-            debug_assert_eq!(dst.vars(), src.vars());
-            dst.values_mut().copy_from_slice(src.values());
-        }
-    } else {
-        state.clique_pot = init_clique_pot.to_vec();
-    }
-    if state.sep_pot.len() == tree.num_edges() {
-        for sep in &mut state.sep_pot {
-            sep.values_mut().fill(1.0);
-        }
-    } else {
-        state.sep_pot = ones_sepsets(tree);
-    }
-    for (raw, obs) in state.evidence.iter().enumerate() {
-        if let Some(value) = obs {
-            let var = VarId::from_index(raw);
-            let clique = tree.home_clique(var);
-            state.clique_pot[clique].reduce(var, *value);
-        }
-    }
-    for (raw, weights) in state.likelihood.iter().enumerate() {
-        if let Some(weights) = weights {
-            let var = VarId::from_index(raw);
-            let clique = tree.home_clique(var);
-            for (value, &w) in weights.iter().enumerate() {
-                state.clique_pot[clique].scale_state(var, value, w);
-            }
-        }
-    }
-    for (host, factor) in &state.soft_factors {
-        state.clique_pot[*host].mul_assign_sub(factor);
-    }
-}
-
-/// Shared calibration epilogue: evidence probability and flags.
-fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState, max_mode: bool) {
-    // Probability of evidence: product over components of clique mass.
-    let mut p = 1.0;
-    for &root in tree.roots() {
-        p *= state.clique_pot[root].total();
-    }
-    state.evidence_probability = p;
-    state.calibrated = true;
-    state.max_mode = max_mode;
 }
 
 /// Which kernel generation an absorption runs through.
@@ -1072,27 +1034,6 @@ fn multiply_side(
         }
         _ => sparse::multiply_from(values, support, &side.entries, update),
     }
-}
-
-fn calibrate_impl(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    init_clique_pot: &[Factor],
-    schedule: &[(usize, usize, usize)],
-    state: &mut PropagationState,
-    max_mode: bool,
-    dispatch: KernelDispatch,
-) {
-    enter_evidence(tree, init_clique_pot, state);
-    // Collect: leaves towards roots.
-    for &(from, edge, to) in schedule {
-        absorb(tree, kernels, state, from, edge, to, max_mode, dispatch);
-    }
-    // Distribute: roots towards leaves.
-    for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from, max_mode, dispatch);
-    }
-    finish_calibration(tree, state, max_mode);
 }
 
 /// 128-bit FNV-1a over little-endian bytes — the dependency-key hash.
@@ -1153,386 +1094,11 @@ fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) ->
     hashes
 }
 
-#[allow(clippy::too_many_arguments)]
-fn calibrate_cached_impl(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    init_clique_pot: &[Factor],
-    schedule: &[(usize, usize, usize)],
-    home_vars: &[Vec<VarId>],
-    state: &mut PropagationState,
-    cache: &MessageCache,
-    dispatch: KernelDispatch,
-) -> (u64, u64) {
-    enter_evidence(tree, init_clique_pot, state);
-    // Dependency keys, folded along the collect schedule: when edge
-    // (from → to) is processed, every child of `from` has already folded
-    // its subtree key into `acc[from]` (children precede parents), so
-    // `acc[from]` covers exactly the evidence the message depends on.
-    let mut acc = clique_evidence_hashes(home_vars, state);
-    let mut edge_key = vec![0u128; tree.num_edges()];
-    for &(from, edge, to) in schedule {
-        edge_key[edge] = acc[from];
-        acc[to] = fnv_u128(acc[to], edge_key[edge]);
-    }
-    // Collect, reusing cached messages where the key matches.
-    let mut reused = 0u64;
-    let mut recomputed = 0u64;
-    for &(from, edge, to) in schedule {
-        if absorb_cached(
-            tree,
-            kernels,
-            state,
-            (from, edge, to),
-            edge_key[edge],
-            cache,
-            dispatch,
-        ) {
-            reused += 1;
-        } else {
-            recomputed += 1;
-        }
-    }
-    // Distribute: a parent-to-child message depends on evidence in the
-    // *whole* tree minus the child's subtree — in a sweep that always
-    // includes the perturbed prior, so caching it could never hit.
-    // Whole-tree reuse is the segment memoization layer's job.
-    for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from, false, dispatch);
-    }
-    finish_calibration(tree, state, false);
-    (reused, recomputed)
-}
-
-/// One HUGIN absorption: `to` absorbs from `from` across `edge`, entirely
-/// through the compile-time projection tables — no scope merges, no
-/// odometer walks, no allocation (the message lives in `state.scratch`).
-#[allow(clippy::too_many_arguments)]
-fn absorb(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    state: &mut PropagationState,
-    from: usize,
-    edge: usize,
-    to: usize,
-    max_mode: bool,
-    dispatch: KernelDispatch,
-) {
-    let e = tree.edge(edge);
-    let proj = &kernels.edge_proj[edge];
-    let (proj_from, proj_to) = if from == e.a {
-        (&proj.a, &proj.b)
-    } else {
-        (&proj.b, &proj.a)
-    };
-    let sep_len = state.sep_pot[edge].len();
-    state.scratch.resize(sep_len, 0.0);
-    // (1) New sepset potential: marginalize the sender into scratch.
-    marginalize_side(
-        state.clique_pot[from].values(),
-        kernels.support[from].as_deref(),
-        proj_from,
-        &mut state.scratch[..sep_len],
-        max_mode,
-        dispatch,
-    );
-    commit_message(kernels, state, edge, to, proj_to, dispatch);
-}
-
-/// [`absorb`] with a per-edge message cache (sum-product only): on a
-/// dependency-key match ([`PropagationMode::Warm`] states) the cached
-/// message is copied into scratch instead of re-marginalizing the sender;
-/// otherwise the message is computed and the slot refreshed. The sepset
-/// store and receiver multiply run either way, keeping the state's
-/// evolution bit-identical to [`absorb`]. Returns whether the message was
-/// reused.
-fn absorb_cached(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    state: &mut PropagationState,
-    (from, edge, to): (usize, usize, usize),
-    key: u128,
-    cache: &MessageCache,
-    dispatch: KernelDispatch,
-) -> bool {
-    let e = tree.edge(edge);
-    let proj = &kernels.edge_proj[edge];
-    let (proj_from, proj_to) = if from == e.a {
-        (&proj.a, &proj.b)
-    } else {
-        (&proj.b, &proj.a)
-    };
-    let sep_len = state.sep_pot[edge].len();
-    state.scratch.resize(sep_len, 0.0);
-    // Cached-message lock poison recovery: slots hold plain owned data
-    // that is consistent after any panic (key and values are written
-    // together under the lock), so the entry stays usable.
-    let mut reused = false;
-    if state.mode == PropagationMode::Warm {
-        let slot = cache.slots[edge]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(cached) = slot.as_ref().filter(|c| c.key == key) {
-            state.scratch[..sep_len].copy_from_slice(&cached.values);
-            reused = true;
-        }
-    }
-    if !reused {
-        marginalize_side(
-            state.clique_pot[from].values(),
-            kernels.support[from].as_deref(),
-            proj_from,
-            &mut state.scratch[..sep_len],
-            false,
-            dispatch,
-        );
-        let mut slot = cache.slots[edge]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match &mut *slot {
-            Some(cached) => {
-                cached.key = key;
-                cached.values.clear();
-                cached.values.extend_from_slice(&state.scratch[..sep_len]);
-            }
-            None => {
-                *slot = Some(CachedMessage {
-                    key,
-                    values: state.scratch[..sep_len].to_vec(),
-                });
-            }
-        }
-    }
-    commit_message(kernels, state, edge, to, proj_to, dispatch);
-    reused
-}
-
-/// Steps (2) and (3) of an absorption, shared by the cold and cached
-/// paths: store the new sepset potential (turning scratch into the
-/// update ratio) and multiply the update into the receiver.
-fn commit_message(
-    kernels: &PropagationKernels,
-    state: &mut PropagationState,
-    edge: usize,
-    to: usize,
-    proj_to: &SideProj,
-    dispatch: KernelDispatch,
-) {
-    let sep_len = state.sep_pot[edge].len();
-    // (2) Store the message, turning scratch into the update ratio new/old
-    // with the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender
-    // gained mass the old sepset never saw — a propagation-order bug).
-    for (slot, msg) in state.sep_pot[edge]
-        .values_mut()
-        .iter_mut()
-        .zip(state.scratch[..sep_len].iter_mut())
-    {
-        let old = *slot;
-        let new = *msg;
-        *slot = new;
-        *msg = if old == 0.0 {
-            assert!(new == 0.0, "division of nonzero {new} by zero sepset entry");
-            0.0
-        } else {
-            new / old
-        };
-    }
-    // (3) Multiply the update into the receiver.
-    multiply_side(
-        state.clique_pot[to].values_mut(),
-        kernels.support[to].as_deref(),
-        proj_to,
-        &state.scratch[..sep_len],
-        dispatch,
-    );
-}
-
-fn marginal_impl(tree: &JunctionTree, state: &PropagationState, var: VarId) -> Vec<f64> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
-    let clique = tree.home_clique(var);
-    let mut m = state.clique_pot[clique].marginalize_keep(&[var]);
-    m.normalize();
-    m.values().to_vec()
-}
-
-fn joint_marginal_impl(
-    tree: &JunctionTree,
-    state: &PropagationState,
-    vars: &[VarId],
-) -> Option<Factor> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
-    let clique = (0..tree.num_cliques())
-        .find(|&c| vars.iter().all(|v| tree.clique(c).binary_search(v).is_ok()))?;
-    let mut m = state.clique_pot[clique].marginalize_keep(vars);
-    m.normalize();
-    Some(m)
-}
-
-fn pairwise_marginal_impl(
-    tree: &JunctionTree,
-    state: &PropagationState,
-    a: VarId,
-    b: VarId,
-) -> Option<Factor> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
-    assert_ne!(a, b, "pairwise marginal needs two distinct variables");
-    if let Some(joint) = joint_marginal_impl(tree, state, &[a.min(b), a.max(b)]) {
-        return Some(joint);
-    }
-    let ca = tree.home_clique(a);
-    let cb = tree.home_clique(b);
-    let path = tree.clique_path(ca, cb)?;
-    // Walk the path keeping a factor over {a} ∪ current sepset: the
-    // calibrated joint factorizes as Π φ_C / Π φ_S along the path.
-    // Marginalizing *before* multiplying into the next clique keeps
-    // every intermediate at sepset-plus-one-variable size.
-    // An empty path means ca == cb, which joint_marginal_impl above would
-    // have handled; bail out rather than panic if that invariant slips.
-    let (first_edge, _) = *path.first()?;
-    let mut keep: Vec<VarId> = tree.edge(first_edge).sepset.clone();
-    keep.push(a);
-    let mut message = state.clique_pot[ca].marginalize_keep(&keep);
-    message.div_assign_sub(&state.sep_pot[first_edge]);
-    for window in path.windows(2) {
-        let (_, clique) = window[0];
-        let (next_edge, _) = window[1];
-        let mut keep: Vec<VarId> = tree.edge(next_edge).sepset.clone();
-        keep.push(a);
-        let mut next_message = state.clique_pot[clique].product_marginalize(&message, &keep);
-        next_message.div_assign_sub(&state.sep_pot[next_edge]);
-        message = next_message;
-    }
-    let (_, last_clique) = *path.last()?;
-    let mut joint =
-        state.clique_pot[last_clique].product_marginalize(&message, &[a.min(b), a.max(b)]);
-    joint.normalize();
-    Some(joint)
-}
-
-/// [`pairwise_marginal_impl`] with the per-step messages fused into the
-/// state's ping-pong path buffers: the same walk, the same kernels in the
-/// same order (so bit-identical results), but each intermediate lands in
-/// reused storage instead of a fresh factor. Only the returned joint —
-/// which the caller keeps — is allocated.
-fn pairwise_marginal_scratch_impl(
-    tree: &JunctionTree,
-    state: &mut PropagationState,
-    a: VarId,
-    b: VarId,
-) -> Option<Factor> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
-    assert_ne!(a, b, "pairwise marginal needs two distinct variables");
-    if let Some(joint) = joint_marginal_impl(tree, state, &[a.min(b), a.max(b)]) {
-        return Some(joint);
-    }
-    let ca = tree.home_clique(a);
-    let cb = tree.home_clique(b);
-    let path = tree.clique_path(ca, cb)?;
-    let (first_edge, _) = *path.first()?;
-    state.path_keep.clear();
-    state
-        .path_keep
-        .extend_from_slice(&tree.edge(first_edge).sepset);
-    state.path_keep.push(a);
-    state.clique_pot[ca].marginalize_keep_into(&state.path_keep, &mut state.path_msg);
-    state.path_msg.div_assign_sub(&state.sep_pot[first_edge]);
-    for window in path.windows(2) {
-        let (_, clique) = window[0];
-        let (next_edge, _) = window[1];
-        state.path_keep.clear();
-        state
-            .path_keep
-            .extend_from_slice(&tree.edge(next_edge).sepset);
-        state.path_keep.push(a);
-        state.clique_pot[clique].product_marginalize_into(
-            &state.path_msg,
-            &state.path_keep,
-            &mut state.path_next,
-        );
-        state.path_next.div_assign_sub(&state.sep_pot[next_edge]);
-        std::mem::swap(&mut state.path_msg, &mut state.path_next);
-    }
-    let (_, last_clique) = *path.last()?;
-    let mut joint =
-        state.clique_pot[last_clique].product_marginalize(&state.path_msg, &[a.min(b), a.max(b)]);
-    joint.normalize();
-    Some(joint)
-}
-
-fn most_probable_assignment_impl(
-    tree: &JunctionTree,
-    schedule: &[(usize, usize, usize)],
-    state: &PropagationState,
-) -> (Vec<usize>, f64) {
-    assert!(
-        state.calibrated && state.max_mode,
-        "call max_calibrate() first"
-    );
-    let num_vars = tree.num_vars();
-    let mut assignment = vec![usize::MAX; num_vars];
-    let mut probability = 1.0f64;
-    // Visit cliques root-first per component: component roots, then
-    // children in root-to-leaf order (the reversed collect schedule).
-    let mut visited = vec![false; tree.num_cliques()];
-    let mut order: Vec<usize> = Vec::with_capacity(tree.num_cliques());
-    for &root in tree.roots() {
-        order.push(root);
-        visited[root] = true;
-    }
-    for &(child, _, _) in schedule.iter().rev() {
-        if !visited[child] {
-            visited[child] = true;
-            order.push(child);
-        }
-    }
-    let roots: std::collections::HashSet<usize> = tree.roots().iter().copied().collect();
-    for &clique_idx in &order {
-        let clique = tree.clique(clique_idx);
-        let mut pot = state.clique_pot[clique_idx].clone();
-        // Pin already-decided variables.
-        for &v in clique {
-            if assignment[v.index()] != usize::MAX {
-                pot.reduce(v, assignment[v.index()]);
-            }
-        }
-        let (idx, value) = pot.argmax();
-        let states = pot.assignment_of(idx);
-        for (pos, &v) in clique.iter().enumerate() {
-            if assignment[v.index()] == usize::MAX {
-                assignment[v.index()] = states[pos];
-            }
-        }
-        // Component roots contribute the component's max probability;
-        // later cliques only refine the assignment.
-        if roots.contains(&clique_idx) {
-            probability *= value;
-        }
-    }
-    debug_assert!(assignment.iter().all(|&s| s != usize::MAX));
-    (assignment, probability)
-}
-
 /// Computes the initial clique potentials of a network over a compiled
 /// tree: every CPT multiplied into its assigned clique, all other entries
-/// one. [`Propagator::new`] calls this; callers that re-propagate many
-/// times can cache the result and feed it to
-/// [`Propagator::from_initial`].
+/// one. [`CompiledTree::new`] calls this; callers that assemble or cache
+/// potentials themselves feed the result to
+/// [`CompiledTree::from_parts`].
 ///
 /// # Panics
 ///
@@ -1631,6 +1197,18 @@ mod tests {
         (net, [cloudy, sprinkler, rain, wet])
     }
 
+    fn compile(net: &BayesNet) -> CompiledTree {
+        CompiledTree::new(JunctionTree::compile(net).unwrap(), net).unwrap()
+    }
+
+    /// `net` over its own junction tree under an explicit zero-compression
+    /// policy, so brute-force checks can cover both kernel families.
+    fn compile_with(net: &BayesNet, mode: SparseMode) -> CompiledTree {
+        let tree = JunctionTree::compile(net).unwrap();
+        let pots = initial_potentials(&tree, net);
+        CompiledTree::from_parts_with(tree, pots, mode)
+    }
+
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -1641,79 +1219,86 @@ mod tests {
     #[test]
     fn prior_marginals_match_brute_force() {
         let (net, vars) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        for var in vars {
-            assert_close(
-                &prop.marginal(var),
-                &net.brute_force_marginal(var, &[]),
-                1e-12,
-            );
+        for mode in [SparseMode::Auto, SparseMode::Off] {
+            let compiled = compile_with(&net, mode);
+            let mut state = compiled.new_state();
+            compiled.calibrate(&mut state);
+            for var in vars {
+                assert_close(
+                    &compiled.marginal(&state, var),
+                    &net.brute_force_marginal(var, &[]),
+                    1e-12,
+                );
+            }
+            assert!((state.evidence_probability() - 1.0).abs() < 1e-12);
         }
-        assert!((prop.evidence_probability() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn posterior_marginals_match_brute_force() {
         let (net, [_, sprinkler_v, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.calibrate();
-        assert_close(
-            &prop.marginal(rain),
-            &net.brute_force_marginal(rain, &[(wet, 1)]),
-            1e-12,
-        );
-        // Explaining away: add sprinkler evidence.
-        prop.set_evidence(sprinkler_v, 1).unwrap();
-        prop.calibrate();
-        assert_close(
-            &prop.marginal(rain),
-            &net.brute_force_marginal(rain, &[(wet, 1), (sprinkler_v, 1)]),
-            1e-12,
-        );
+        for mode in [SparseMode::Auto, SparseMode::Off] {
+            let compiled = compile_with(&net, mode);
+            let mut state = compiled.new_state();
+            compiled.set_evidence(&mut state, wet, 1).unwrap();
+            compiled.calibrate(&mut state);
+            assert_close(
+                &compiled.marginal(&state, rain),
+                &net.brute_force_marginal(rain, &[(wet, 1)]),
+                1e-12,
+            );
+            // Explaining away: add sprinkler evidence.
+            compiled.set_evidence(&mut state, sprinkler_v, 1).unwrap();
+            compiled.calibrate(&mut state);
+            assert_close(
+                &compiled.marginal(&state, rain),
+                &net.brute_force_marginal(rain, &[(wet, 1), (sprinkler_v, 1)]),
+                1e-12,
+            );
+        }
     }
 
     #[test]
     fn evidence_probability_matches_joint() {
         let (net, [.., wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.calibrate();
         let mut joint = net.joint();
         joint.reduce(wet, 1);
-        assert!((prop.evidence_probability() - joint.total()).abs() < 1e-12);
+        for mode in [SparseMode::Auto, SparseMode::Off] {
+            let compiled = compile_with(&net, mode);
+            let mut state = compiled.new_state();
+            compiled.set_evidence(&mut state, wet, 1).unwrap();
+            compiled.calibrate(&mut state);
+            assert!((state.evidence_probability() - joint.total()).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn clear_evidence_restores_prior() {
         let (net, [cloudy, .., wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let prior = prop.marginal(cloudy);
-        prop.set_evidence(wet, 0).unwrap();
-        prop.calibrate();
-        assert!(prop.marginal(cloudy) != prior);
-        prop.clear_evidence();
-        prop.calibrate();
-        assert_close(&prop.marginal(cloudy), &prior, 1e-12);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let prior = compiled.marginal(&state, cloudy);
+        compiled.set_evidence(&mut state, wet, 0).unwrap();
+        compiled.calibrate(&mut state);
+        assert!(compiled.marginal(&state, cloudy) != prior);
+        state.clear_evidence();
+        compiled.calibrate(&mut state);
+        assert_close(&compiled.marginal(&state, cloudy), &prior, 1e-12);
     }
 
     #[test]
     fn soft_evidence_scales_posterior() {
         let (net, [cloudy, _, rain, _]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
         // Likelihood [0, 1] on rain behaves like hard evidence rain=1.
-        prop.set_likelihood(rain, vec![0.0, 1.0]).unwrap();
-        prop.calibrate();
-        let soft = prop.marginal(cloudy);
+        compiled
+            .set_likelihood(&mut state, rain, vec![0.0, 1.0])
+            .unwrap();
+        compiled.calibrate(&mut state);
         assert_close(
-            &soft,
+            &compiled.marginal(&state, cloudy),
             &net.brute_force_marginal(cloudy, &[(rain, 1)]),
             1e-12,
         );
@@ -1724,24 +1309,24 @@ mod tests {
         // Multiplying a two-variable factor must match brute force over
         // the reweighted joint.
         let (net, [cloudy, sprinkler_v, rain, _]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
         let weights = Factor::new(
             vec![(sprinkler_v.min(rain), 2), (sprinkler_v.max(rain), 2)],
             vec![1.0, 0.2, 0.4, 2.0],
         );
-        prop.insert_factor(weights.clone()).unwrap();
-        prop.calibrate();
+        compiled.insert_factor(&mut state, weights.clone()).unwrap();
+        compiled.calibrate(&mut state);
         let mut joint = net.joint();
         joint = joint.product(&weights);
         let mut want = joint.marginalize_keep(&[cloudy]);
         want.normalize();
-        assert_close(&prop.marginal(cloudy), want.values(), 1e-12);
+        assert_close(&compiled.marginal(&state, cloudy), want.values(), 1e-12);
         // Clearing evidence removes the factor.
-        prop.clear_evidence();
-        prop.calibrate();
+        state.clear_evidence();
+        compiled.calibrate(&mut state);
         assert_close(
-            &prop.marginal(cloudy),
+            &compiled.marginal(&state, cloudy),
             &net.brute_force_marginal(cloudy, &[]),
             1e-12,
         );
@@ -1751,14 +1336,15 @@ mod tests {
     fn insert_factor_outside_clique_rejected() {
         // cloudy and wet never share a clique in this network.
         let (net, [cloudy, _, _, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let tree = compiled.tree();
+        let mut state = compiled.new_state();
         let f = Factor::ones(vec![(cloudy.min(wet), 2), (cloudy.max(wet), 2)]);
         let in_clique = (0..tree.num_cliques())
             .any(|c| tree.clique(c).contains(&cloudy) && tree.clique(c).contains(&wet));
         if !in_clique {
             assert!(matches!(
-                prop.insert_factor(f),
+                compiled.insert_factor(&mut state, f),
                 Err(BayesError::FactorOutsideClique { .. })
             ));
         }
@@ -1767,16 +1353,16 @@ mod tests {
     #[test]
     fn joint_marginal_within_clique() {
         let (net, [_, sprinkler_v, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let joint = prop
-            .joint_marginal(&[sprinkler_v, rain, wet])
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let joint = compiled
+            .joint_marginal(&state, &[sprinkler_v, rain, wet])
             .expect("family of wet shares a clique");
         assert!((joint.total() - 1.0).abs() < 1e-12);
         // Consistency: its marginal equals the single-variable read.
         let wet_marg = joint.marginalize_keep(&[wet]);
-        assert_close(wet_marg.values(), &prop.marginal(wet), 1e-12);
+        assert_close(wet_marg.values(), &compiled.marginal(&state, wet), 1e-12);
     }
 
     #[test]
@@ -1798,10 +1384,12 @@ mod tests {
                 .unwrap();
         }
         let last = prev;
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let joint = prop.pairwise_marginal(first, last).expect("same component");
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let joint = compiled
+            .pairwise_marginal(&mut state, first, last)
+            .expect("same component");
         // Brute force joint.
         let reference = net.joint().marginalize_keep(&[first, last]);
         for (a, b) in joint.values().iter().zip(reference.values()) {
@@ -1814,11 +1402,11 @@ mod tests {
         }
         // With evidence in the middle the endpoints decouple.
         let mid = net.find_var("x3").unwrap();
-        prop.set_evidence(mid, 1).unwrap();
-        prop.calibrate();
-        let joint = prop.pairwise_marginal(first, last).unwrap();
-        let pa = prop.marginal(first);
-        let pb = prop.marginal(last);
+        compiled.set_evidence(&mut state, mid, 1).unwrap();
+        compiled.calibrate(&mut state);
+        let joint = compiled.pairwise_marginal(&mut state, first, last).unwrap();
+        let pa = compiled.marginal(&state, first);
+        let pb = compiled.marginal(&state, last);
         for s in 0..4 {
             let want = pa[s / 2] * pb[s % 2];
             assert!((joint.values()[s] - want).abs() < 1e-12);
@@ -1834,23 +1422,27 @@ mod tests {
         let b = net
             .add_var("b", 2, &[], Cpt::prior(vec![0.5, 0.5]))
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        assert!(prop.pairwise_marginal(a, b).is_none());
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        assert!(compiled.pairwise_marginal(&mut state, a, b).is_none());
     }
 
     #[test]
     fn reinitialize_absorbs_new_priors_without_recompilation() {
+        // New CPTs over the same compiled tree: only the potentials are
+        // rebuilt, the triangulation and clique structure are reused.
         let (mut net, [cloudy, .., wet]) = sprinkler();
         let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let before = prop.marginal(wet);
+        let compiled = CompiledTree::new(tree.clone(), &net).unwrap();
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let before = compiled.marginal(&state, wet);
         net.set_cpt(cloudy, Cpt::prior(vec![0.95, 0.05])).unwrap();
-        prop.reinitialize(&net);
-        prop.calibrate();
-        let after = prop.marginal(wet);
+        let compiled = CompiledTree::from_parts(tree.clone(), initial_potentials(&tree, &net));
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let after = compiled.marginal(&state, wet);
         assert!(after != before);
         assert_close(&after, &net.brute_force_marginal(wet, &[]), 1e-12);
     }
@@ -1858,31 +1450,33 @@ mod tests {
     #[test]
     fn evidence_errors() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
         assert!(matches!(
-            prop.set_evidence(cloudy, 5),
+            compiled.set_evidence(&mut state, cloudy, 5),
             Err(BayesError::EvidenceOutOfRange { state: 5, .. })
         ));
-        assert!(prop.set_likelihood(cloudy, vec![1.0; 3]).is_err());
+        assert!(compiled
+            .set_likelihood(&mut state, cloudy, vec![1.0; 3])
+            .is_err());
     }
 
     #[test]
     #[should_panic(expected = "calibrate")]
     fn reading_uncalibrated_panics() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let prop = Propagator::new(&tree, &net).unwrap();
-        let _ = prop.marginal(cloudy);
+        let compiled = compile(&net);
+        let state = compiled.new_state();
+        let _ = compiled.marginal(&state, cloudy);
     }
 
     #[test]
     fn mpe_matches_brute_force_on_sprinkler() {
         let (net, _vars) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let (assignment, p) = compiled.most_probable_assignment(&state);
         // Brute force over the joint.
         let joint = net.joint();
         let (best_idx, best_p) = joint.argmax();
@@ -1893,12 +1487,12 @@ mod tests {
 
     #[test]
     fn mpe_respects_evidence() {
-        let (net, [cloudy, sprinkler_v, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        let (net, [.., wet]) = sprinkler();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, wet, 1).unwrap();
+        compiled.max_calibrate(&mut state);
+        let (assignment, p) = compiled.most_probable_assignment(&state);
         assert_eq!(assignment[wet.index()], 1, "evidence honoured");
         // Brute force restricted to wet = 1.
         let mut joint = net.joint();
@@ -1907,7 +1501,6 @@ mod tests {
         let best = joint.assignment_of(best_idx);
         assert_eq!(assignment, best);
         assert!((p - best_p).abs() < 1e-12);
-        let _ = (cloudy, sprinkler_v, rain);
     }
 
     #[test]
@@ -1919,10 +1512,10 @@ mod tests {
         let b = net
             .add_var("b", 3, &[], Cpt::prior(vec![0.2, 0.5, 0.3]))
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let (assignment, p) = compiled.most_probable_assignment(&state);
         assert_eq!(assignment[a.index()], 1);
         assert_eq!(assignment[b.index()], 1);
         assert!((p - 0.7 * 0.5).abs() < 1e-12);
@@ -1932,33 +1525,33 @@ mod tests {
     #[should_panic(expected = "max_calibrate")]
     fn mpe_requires_max_calibration() {
         let (net, _) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let _ = prop.most_probable_assignment();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let _ = compiled.most_probable_assignment(&state);
     }
 
     #[test]
     #[should_panic(expected = "sum-calibration")]
     fn sum_reads_rejected_after_max_calibration() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.max_calibrate();
-        let _ = prop.marginal(cloudy);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let _ = compiled.marginal(&state, cloudy);
     }
 
     #[test]
     fn recalibration_switches_modes_cleanly() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let before = prop.marginal(cloudy);
-        prop.max_calibrate();
-        let _ = prop.most_probable_assignment();
-        prop.calibrate();
-        let after = prop.marginal(cloudy);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let before = compiled.marginal(&state, cloudy);
+        compiled.max_calibrate(&mut state);
+        let _ = compiled.most_probable_assignment(&state);
+        compiled.calibrate(&mut state);
+        let after = compiled.marginal(&state, cloudy);
         assert_close(&before, &after, 1e-12);
     }
 
@@ -1971,12 +1564,12 @@ mod tests {
         let b = net
             .add_var("b", 2, &[], Cpt::prior(vec![0.9, 0.1]))
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(a, 1).unwrap();
-        prop.calibrate();
-        assert_close(&prop.marginal(b), &[0.9, 0.1], 1e-12);
-        assert!((prop.evidence_probability() - 0.7).abs() < 1e-12);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, a, 1).unwrap();
+        compiled.calibrate(&mut state);
+        assert_close(&compiled.marginal(&state, b), &[0.9, 0.1], 1e-12);
+        assert!((state.evidence_probability() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -1993,36 +1586,16 @@ mod tests {
                 Cpt::rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]),
             )
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(b, 1).unwrap();
-        prop.calibrate();
-        assert_eq!(prop.evidence_probability(), 0.0);
-    }
-
-    #[test]
-    fn compiled_tree_matches_propagator() {
-        let (net, [cloudy, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree.clone(), &net).unwrap();
+        let compiled = compile(&net);
         let mut state = compiled.new_state();
-        compiled.set_evidence(&mut state, wet, 1).unwrap();
+        compiled.set_evidence(&mut state, b, 1).unwrap();
         compiled.calibrate(&mut state);
-
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.calibrate();
-
-        assert_eq!(compiled.marginal(&state, rain), prop.marginal(rain));
-        assert_eq!(compiled.marginal(&state, cloudy), prop.marginal(cloudy));
-        assert_eq!(state.evidence_probability(), prop.evidence_probability());
+        assert_eq!(state.evidence_probability(), 0.0);
     }
-
     #[test]
     fn reused_state_is_bit_identical_to_fresh_state() {
         let (net, [cloudy, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         // First request leaves the state dirty (calibrated, with evidence).
         let mut reused = compiled.new_state();
         compiled.set_evidence(&mut reused, wet, 0).unwrap();
@@ -2055,8 +1628,7 @@ mod tests {
         // One compile shared by threads, each with its own state and its
         // own evidence; results must match sequential propagation.
         let (net, [_, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         let sequential: Vec<Vec<f64>> = (0..2)
             .map(|obs| {
                 let mut state = compiled.new_state();
@@ -2085,8 +1657,7 @@ mod tests {
     #[test]
     fn state_space_counts_clique_entries() {
         let (net, _) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         let expected: usize = compiled.initial_potentials().iter().map(Factor::len).sum();
         assert_eq!(compiled.state_space(), expected);
         assert!(compiled.state_space() > 0);
@@ -2122,9 +1693,7 @@ mod tests {
     #[test]
     fn sparse_modes_are_bit_identical() {
         for (net, vars) in [sprinkler(), deterministic_net()] {
-            let tree = JunctionTree::compile(&net).unwrap();
-            let pots = initial_potentials(&tree, &net);
-            let compile = |mode| CompiledTree::from_parts_with(tree.clone(), pots.clone(), mode);
+            let compile = |mode| compile_with(&net, mode);
             let off = compile(SparseMode::Off);
             assert_eq!(off.compressed_cliques(), 0);
             for mode in [SparseMode::Auto, SparseMode::On] {
@@ -2164,28 +1733,25 @@ mod tests {
     #[test]
     fn cached_calibration_is_bit_identical_and_reuses_clean_messages() {
         let (net, [cloudy, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         let cache = compiled.new_message_cache();
 
         // Cold pass populates the cache without reading it.
         let mut warm = compiled.new_state();
-        assert_eq!(warm.mode(), PropagationMode::Cold);
         compiled
             .set_likelihood(&mut warm, rain, vec![0.3, 0.7])
             .unwrap();
-        let (reused, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache);
+        let (reused, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache, false);
         assert_eq!(reused, 0);
         assert_eq!(recomputed, compiled.message_schedule().len() as u64);
 
-        // Identical evidence, warm mode: every collect message reused, and
+        // Identical evidence, reuse on: every collect message reused, and
         // every read is bit-identical to an uncached calibration.
-        warm.set_mode(PropagationMode::Warm);
         warm.clear_evidence();
         compiled
             .set_likelihood(&mut warm, rain, vec![0.3, 0.7])
             .unwrap();
-        let (reused, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache);
+        let (reused, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache, true);
         assert_eq!(reused, compiled.message_schedule().len() as u64);
         assert_eq!(recomputed, 0);
         let mut cold = compiled.new_state();
@@ -2215,7 +1781,7 @@ mod tests {
         compiled
             .set_likelihood(&mut warm, wet, vec![0.9, 0.1])
             .unwrap();
-        let (_, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache);
+        let (_, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache, true);
         assert!(recomputed > 0, "dirty subtree must recompute");
         let mut cold2 = compiled.new_state();
         compiled
@@ -2240,18 +1806,16 @@ mod tests {
         // evidence; and a state carrying no evidence must not reuse
         // messages computed under evidence.
         let (net, [cloudy, .., wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         let cache = compiled.new_message_cache();
 
         let mut state = compiled.new_state();
-        state.set_mode(PropagationMode::Warm);
         compiled.set_evidence(&mut state, wet, 1).unwrap();
-        compiled.calibrate_with_cache(&mut state, &cache);
+        compiled.calibrate_with_cache(&mut state, &cache, true);
         let with_evidence = compiled.marginal(&state, cloudy);
 
         state.clear_evidence();
-        let (reused, _) = compiled.calibrate_with_cache(&mut state, &cache);
+        let (reused, _) = compiled.calibrate_with_cache(&mut state, &cache, true);
         assert_eq!(reused, 0, "no-evidence run must miss evidence-keyed slots");
         let without = compiled.marginal(&state, cloudy);
         assert_ne!(with_evidence, without);
@@ -2264,8 +1828,7 @@ mod tests {
     #[test]
     fn dependency_mask_covers_every_variable_once() {
         let (net, _) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         let mut seen = vec![0usize; compiled.tree().num_vars()];
         for c in 0..compiled.tree().num_cliques() {
             for &var in compiled.clique_dependencies(c) {
@@ -2282,8 +1845,7 @@ mod tests {
         // cache; every result must equal its cold reference bit-for-bit
         // even while the slots churn.
         let (net, [_, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         let cache = compiled.new_message_cache();
         std::thread::scope(|scope| {
             for t in 0..2 {
@@ -2291,14 +1853,13 @@ mod tests {
                 let cache = &cache;
                 scope.spawn(move || {
                     let mut state = compiled.new_state();
-                    state.set_mode(PropagationMode::Warm);
                     for k in 0..8 {
                         let p = 0.1 + 0.1 * (t as f64) + 0.05 * (k as f64);
                         state.clear_evidence();
                         compiled
                             .set_likelihood(&mut state, rain, vec![p, 1.0 - p])
                             .unwrap();
-                        compiled.calibrate_with_cache(&mut state, cache);
+                        compiled.calibrate_with_cache(&mut state, cache, true);
                         let got = compiled.marginal(&state, wet);
                         let mut cold = compiled.new_state();
                         compiled
@@ -2320,8 +1881,7 @@ mod tests {
         // must keep these cliques dense. (This is the c880 regression: the
         // old global ≥50% rule compressed half-zero cliques and lost.)
         let (net, _) = deterministic_net();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         assert_eq!(compiled.sparse_mode(), SparseMode::Auto);
         assert!(
             compiled.zero_fraction() >= 0.5,
@@ -2336,11 +1896,7 @@ mod tests {
         assert!(compiled.nnz() < compiled.state_space());
         // Auto's kernel cost never exceeds the all-dense cost by
         // construction: it only compresses cliques where sparse wins.
-        let dense = CompiledTree::from_parts_with(
-            JunctionTree::compile(&net).unwrap(),
-            initial_potentials(&JunctionTree::compile(&net).unwrap(), &net),
-            SparseMode::Off,
-        );
+        let dense = compile_with(&net, SparseMode::Off);
         assert!(compiled.kernel_cost() <= dense.kernel_cost());
     }
 
@@ -2368,18 +1924,13 @@ mod tests {
             Cpt::rows(vec![one_hot(0), one_hot(1), one_hot(2), one_hot(3)]),
         )
         .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
+        let compiled = compile(&net);
         assert_eq!(compiled.sparse_mode(), SparseMode::Auto);
         assert!(
             compiled.compressed_cliques() > 0,
             "an 87.5%-zero clique clears the 5·nnz < len break-even point"
         );
-        let dense = CompiledTree::from_parts_with(
-            JunctionTree::compile(&net).unwrap(),
-            initial_potentials(&JunctionTree::compile(&net).unwrap(), &net),
-            SparseMode::Off,
-        );
+        let dense = compile_with(&net, SparseMode::Off);
         assert!(compiled.kernel_cost() < dense.kernel_cost());
     }
 }

@@ -2,7 +2,9 @@
 //! the brute-force joint on random networks.
 
 use proptest::prelude::*;
-use swact_bayesnet::{BayesNet, Cpt, Heuristic, JunctionTree, Propagator, VarId};
+use swact_bayesnet::{
+    initial_potentials, BayesNet, CompiledTree, Cpt, Heuristic, JunctionTree, SparseMode, VarId,
+};
 
 /// A random discrete Bayesian network with ≤ 7 variables of cardinality
 /// 2–3, random parent sets among earlier variables, and random CPTs.
@@ -44,23 +46,32 @@ fn arb_net() -> impl Strategy<Value = BayesNet> {
     })
 }
 
+/// `net` compiled over `tree` with the given zero-compression policy, so
+/// the brute-force checks cover the dense and the support-list kernels.
+fn compile(tree: &JunctionTree, net: &BayesNet, mode: SparseMode) -> CompiledTree {
+    CompiledTree::from_parts_with(tree.clone(), initial_potentials(tree, net), mode)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Prior marginals from the junction tree equal brute force, for both
-    /// triangulation heuristics.
+    /// triangulation heuristics and both kernel families.
     #[test]
     fn jt_marginals_match_brute_force(net in arb_net()) {
         for heuristic in [Heuristic::MinFill, Heuristic::MinDegree] {
             let tree = JunctionTree::compile_with(&net, heuristic).expect("compiles");
             prop_assert!(tree.satisfies_running_intersection());
-            let mut prop = Propagator::new(&tree, &net).expect("nonempty");
-            prop.calibrate();
-            for var in net.var_ids() {
-                let jt = prop.marginal(var);
-                let bf = net.brute_force_marginal(var, &[]);
-                for (a, b) in jt.iter().zip(&bf) {
-                    prop_assert!((a - b).abs() < 1e-9, "{var} {heuristic:?}");
+            for mode in [SparseMode::Auto, SparseMode::Off] {
+                let compiled = compile(&tree, &net, mode);
+                let mut state = compiled.new_state();
+                compiled.calibrate(&mut state);
+                for var in net.var_ids() {
+                    let jt = compiled.marginal(&state, var);
+                    let bf = net.brute_force_marginal(var, &[]);
+                    for (a, b) in jt.iter().zip(&bf) {
+                        prop_assert!((a - b).abs() < 1e-9, "{var} {heuristic:?} {mode:?}");
+                    }
                 }
             }
         }
@@ -75,19 +86,22 @@ proptest! {
         let prior = net.brute_force_marginal(observed, &[]);
         prop_assume!(prior[state] > 1e-6);
         let tree = JunctionTree::compile(&net).expect("compiles");
-        let mut prop = Propagator::new(&tree, &net).expect("nonempty");
-        prop.set_evidence(observed, state).expect("in range");
-        prop.calibrate();
-        for var in net.var_ids() {
-            if var == observed { continue; }
-            let jt = prop.marginal(var);
-            let bf = net.brute_force_marginal(var, &[(observed, state)]);
-            for (a, b) in jt.iter().zip(&bf) {
-                prop_assert!((a - b).abs() < 1e-9);
+        for mode in [SparseMode::Auto, SparseMode::Off] {
+            let compiled = compile(&tree, &net, mode);
+            let mut prop = compiled.new_state();
+            compiled.set_evidence(&mut prop, observed, state).expect("in range");
+            compiled.calibrate(&mut prop);
+            for var in net.var_ids() {
+                if var == observed { continue; }
+                let jt = compiled.marginal(&prop, var);
+                let bf = net.brute_force_marginal(var, &[(observed, state)]);
+                for (a, b) in jt.iter().zip(&bf) {
+                    prop_assert!((a - b).abs() < 1e-9, "{mode:?}");
+                }
             }
+            // And the evidence probability equals the prior mass of the state.
+            prop_assert!((prop.evidence_probability() - prior[state]).abs() < 1e-9);
         }
-        // And the evidence probability equals the prior mass of the state.
-        prop_assert!((prop.evidence_probability() - prior[state]).abs() < 1e-9);
     }
 
     /// The pairwise marginal across cliques equals the brute-force joint.
@@ -98,9 +112,10 @@ proptest! {
         let b = VarId::from_index(((pick / n) % n) as usize);
         prop_assume!(a != b);
         let tree = JunctionTree::compile(&net).expect("compiles");
-        let mut prop = Propagator::new(&tree, &net).expect("nonempty");
-        prop.calibrate();
-        if let Some(joint) = prop.pairwise_marginal(a, b) {
+        let compiled = CompiledTree::new(tree, &net).expect("nonempty");
+        let mut prop = compiled.new_state();
+        compiled.calibrate(&mut prop);
+        if let Some(joint) = compiled.pairwise_marginal(&mut prop, a, b) {
             let reference = net.joint().marginalize_keep(&[a.min(b), a.max(b)]);
             for (x, y) in joint.values().iter().zip(reference.values()) {
                 prop_assert!((x - y).abs() < 1e-9);
@@ -112,7 +127,8 @@ proptest! {
     #[test]
     fn mpe_matches_brute_force(net in arb_net(), pick in any::<u64>()) {
         let tree = JunctionTree::compile(&net).expect("compiles");
-        let mut prop = Propagator::new(&tree, &net).expect("nonempty");
+        let compiled = CompiledTree::new(tree, &net).expect("nonempty");
+        let mut prop = compiled.new_state();
         // Optionally add evidence on one variable.
         let observed = VarId::from_index((pick % net.num_vars() as u64) as usize);
         let state = (pick / 11) as usize % net.card(observed);
@@ -121,11 +137,11 @@ proptest! {
         if with_evidence {
             let prior = net.brute_force_marginal(observed, &[]);
             prop_assume!(prior[state] > 1e-9);
-            prop.set_evidence(observed, state).expect("in range");
+            compiled.set_evidence(&mut prop, observed, state).expect("in range");
             joint.reduce(observed, state);
         }
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        compiled.max_calibrate(&mut prop);
+        let (assignment, p) = compiled.most_probable_assignment(&prop);
         let (best_idx, best_p) = joint.argmax();
         // Probabilities must match exactly; the assignment may differ only
         // on exact ties.

@@ -333,10 +333,10 @@ fn is_blif(path: &str, source: &str) -> bool {
 }
 
 fn spec_for(args: &EstimateArgs, num_inputs: usize) -> Result<InputSpec, CliError> {
-    let model = match args.activity {
-        Some(a) => InputModel::new(args.p1, a).map_err(runtime_error)?,
-        None => InputModel::independent(args.p1),
-    };
+    // Without --activity the input is temporally independent; either way
+    // the fallible constructor rejects an out-of-range or NaN p1.
+    let activity = args.activity.unwrap_or(2.0 * args.p1 * (1.0 - args.p1));
+    let model = InputModel::new(args.p1, activity).map_err(runtime_error)?;
     Ok(InputSpec::from_models(vec![model; num_inputs]))
 }
 
@@ -668,7 +668,12 @@ fn parse_spec_file(source: &str, num_inputs: usize) -> Result<Vec<InputSpec>, Cl
                 )))
             }
         };
-        specs.push(InputSpec::independent(p1s));
+        let models = p1s
+            .into_iter()
+            .map(|p| InputModel::new(p, 2.0 * p * (1.0 - p)))
+            .collect::<Result<_, _>>()
+            .map_err(|e| runtime_error(format!("spec line {}: {e}", lineno + 1)))?;
+        specs.push(InputSpec::from_models(models));
     }
     if specs.is_empty() {
         return Err(runtime_error("spec file contains no scenarios"));
@@ -806,11 +811,10 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "robustness: {} degraded scenario(s); {} degraded segment(s); {} panic(s); {} retrie(s)",
+            "robustness: {} degraded scenario(s); {} degraded segment(s); {} panic(s)",
             report.degraded_scenarios(),
             metrics.degraded_segments,
-            metrics.jobs_panicked,
-            metrics.retries
+            metrics.jobs_panicked
         );
         // Per-rung fallback counts over all scenarios' degradation
         // reports, plus the sampling rung's anytime counters.
@@ -1431,6 +1435,12 @@ mod tests {
                 .exit_code,
             2
         );
+        // Parseable but out-of-range p1 is a runtime error, not a panic.
+        for p1 in ["1.5", "-0.1", "NaN"] {
+            let err = run_strs(&["estimate", "c17", "--p1", p1]).unwrap_err();
+            assert_eq!(err.exit_code, 1, "--p1 {p1}");
+            assert!(err.message.contains("out of range"), "{}", err.message);
+        }
     }
 
     #[test]
@@ -1526,11 +1536,18 @@ mod tests {
         assert!(out.contains("2 scenario(s)"));
 
         let bad = dir.join("bad.spec");
-        std::fs::write(&bad, "0.1 0.2\n").unwrap(); // 2 values for 5 inputs
-        let bad = bad.to_string_lossy().to_string();
-        let err = run_strs(&["batch", "c17", "--spec", &bad]).unwrap_err();
-        assert_eq!(err.exit_code, 1);
-        assert!(err.message.contains("expected 1 or 5 values"));
+        for (body, want) in [
+            ("0.1 0.2\n", "expected 1 or 5 values"), // 2 values for 5 inputs
+            ("0.5\n1.5\n", "spec line 2: input model p1=1.5"),
+            ("nan\n", "out of range"),
+            ("0.1 0.2 0.3 0.4 inf\n", "out of range"),
+        ] {
+            std::fs::write(&bad, body).unwrap();
+            let bad = bad.to_string_lossy().to_string();
+            let err = run_strs(&["batch", "c17", "--spec", &bad]).unwrap_err();
+            assert_eq!(err.exit_code, 1, "{body}");
+            assert!(err.message.contains(want), "{}", err.message);
+        }
     }
 
     #[test]

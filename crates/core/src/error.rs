@@ -92,8 +92,7 @@ pub enum EstimateError {
     /// A per-stage wall-clock deadline ([`Budget::deadline`](crate::Budget))
     /// elapsed. Deadlines are cooperative: the stage checks them at
     /// segment/wave boundaries, so the stage finishes its current unit of
-    /// work before reporting. Retryable — a later attempt on a less loaded
-    /// worker may fit.
+    /// work before reporting.
     DeadlineExceeded {
         /// Pipeline stage that ran out of time (`"compile"`,
         /// `"propagate"`, or `"queue"`).
@@ -103,16 +102,14 @@ pub enum EstimateError {
     },
     /// A worker panicked while evaluating this request; the panic was
     /// caught at the job boundary and converted to an error so the batch
-    /// (and the worker) survive. Retryable — panics from transient faults
-    /// disappear on re-execution.
+    /// (and the worker) survive.
     Panicked {
         /// The panic payload, when it was a string.
         message: String,
     },
     /// The request was cancelled before (or instead of) running — e.g. it
-    /// was still queued when the engine began shutting down. Not
-    /// retryable against the same engine (it is going away), but a client
-    /// may resubmit elsewhere.
+    /// was still queued when the engine began shutting down. A client may
+    /// resubmit elsewhere.
     Cancelled,
     /// An underlying structural circuit error (e.g. during fan-in
     /// decomposition).
@@ -122,18 +119,6 @@ pub enum EstimateError {
 }
 
 impl EstimateError {
-    /// Whether retrying the same request may succeed. True only for
-    /// transient failures ([`Panicked`](EstimateError::Panicked),
-    /// [`DeadlineExceeded`](EstimateError::DeadlineExceeded)); structural
-    /// errors (bad spec, budget exhaustion, circuit/BN construction) are
-    /// deterministic and retrying them wastes work.
-    pub fn retryable(&self) -> bool {
-        matches!(
-            self,
-            EstimateError::Panicked { .. } | EstimateError::DeadlineExceeded { .. }
-        )
-    }
-
     /// Converts a caught panic payload (from `catch_unwind` or a failed
     /// thread join) into [`EstimateError::Panicked`], extracting the
     /// message when the payload is a string.
@@ -250,29 +235,6 @@ mod tests {
     fn is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EstimateError>();
-    }
-
-    #[test]
-    fn retryable_classification() {
-        assert!(EstimateError::Panicked {
-            message: "boom".into(),
-        }
-        .retryable());
-        assert!(EstimateError::DeadlineExceeded {
-            stage: "compile",
-            deadline: std::time::Duration::from_millis(5),
-        }
-        .retryable());
-        assert!(!EstimateError::BudgetExceeded {
-            segment: 0,
-            states: 1e9,
-            budget: 1e3,
-            rung: "jtree",
-        }
-        .retryable());
-        assert!(!EstimateError::GroupStructureMismatch.retryable());
-        assert!(!EstimateError::Cancelled.retryable());
-        assert!(!EstimateError::from(CircuitError::NoInputs).retryable());
     }
 
     #[test]

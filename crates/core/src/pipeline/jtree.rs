@@ -4,8 +4,7 @@
 use std::sync::Mutex;
 
 use swact_bayesnet::{
-    initial_potentials, CompiledTree, Factor, JunctionTree, MessageCache, PropagationMode,
-    PropagationState, VarId,
+    initial_potentials, CompiledTree, Factor, JunctionTree, MessageCache, PropagationState, VarId,
 };
 use swact_circuit::LineId;
 
@@ -211,18 +210,13 @@ impl InferenceBackend for JtreeBackend {
                 Factor::new(vec![(pair.parent_var, 4), (pair.var, 4)], values),
             )?;
         }
-        // Warm states may reuse cached collect messages (bit-identical by
-        // construction); with incremental propagation off the state runs
+        // Incremental propagation may reuse cached collect messages
+        // (bit-identical by construction); with it off the calibration runs
         // cold but still refreshes the cache. Segments whose compiled cost
         // model says evidence-signature hashing outweighs the recompute it
         // saves bypass the cache machinery entirely.
         let (messages_reused, messages_recomputed) = if art.cache_worthwhile {
-            state.set_mode(if art.incremental {
-                PropagationMode::Warm
-            } else {
-                PropagationMode::Cold
-            });
-            compiled.calibrate_with_cache(&mut state, &art.msg_cache)
+            compiled.calibrate_with_cache(&mut state, &art.msg_cache, art.incremental)
         } else {
             compiled.calibrate(&mut state);
             (0, 0)
@@ -241,7 +235,7 @@ impl InferenceBackend for JtreeBackend {
             if var_a == var_b {
                 continue;
             }
-            if let Some(joint) = compiled.pairwise_marginal_scratch(&mut state, var_a, var_b) {
+            if let Some(joint) = compiled.pairwise_marginal(&mut state, var_a, var_b) {
                 let a_first = joint.vars()[0] == var_a;
                 let mut out = [[0.0f64; 4]; 4];
                 for (a_state, row) in out.iter_mut().enumerate() {
@@ -261,7 +255,7 @@ impl InferenceBackend for JtreeBackend {
         let mut exports = Vec::new();
         for export in roots.exports {
             let joint = compiled
-                .pairwise_marginal_scratch(&mut state, export.parent_var, export.child_var)
+                .pairwise_marginal(&mut state, export.parent_var, export.child_var)
                 .expect("export pairs share a component by construction");
             let parent_first = joint.vars()[0] == export.parent_var;
             let mut cond = [0.0f64; 16];

@@ -54,7 +54,7 @@ use crate::faults;
 use crate::pipeline::backend::backend_impl;
 use crate::pipeline::model::Export;
 use crate::report::{AccuracyReport, Estimate};
-use crate::segment::{estimate_segment_cost, replan_segment, RootSource, Segment};
+use crate::segment::{estimate_segment_cost, topo_cover_segments, RootSource, Segment};
 use crate::{EstimateError, InputSpec, TransitionDist};
 
 /// The compiled pipeline: planned circuit, per-segment backend artifacts,
@@ -239,10 +239,10 @@ impl CompiledPipeline {
                             }
                         };
                         let tighter = (target / 4.0).max(16.0);
-                        let subs = replan_segment(
+                        let subs = topo_cover_segments(
                             &planned.working,
                             4,
-                            planned_seg,
+                            &planned_seg.gates,
                             tighter,
                             1,
                             options.heuristic,

@@ -78,17 +78,6 @@ impl SegmentationPlan {
     /// # Panics
     ///
     /// Panics if `check_interval` is zero.
-    /// A plan with no segments, used when reconstructing a compiled
-    /// pipeline from a persisted artifact — the final (post-degradation)
-    /// segment list is stored separately, so the original plan is not
-    /// needed and is not persisted.
-    pub(crate) fn empty(budget: f64) -> SegmentationPlan {
-        SegmentationPlan {
-            segments: Vec::new(),
-            budget,
-        }
-    }
-
     pub fn plan(
         circuit: &Circuit,
         card: usize,
@@ -104,6 +93,17 @@ impl SegmentationPlan {
             heuristic,
             SegmentationStrategy::TopoCover,
         )
+    }
+
+    /// A plan with no segments, used when reconstructing a compiled
+    /// pipeline from a persisted artifact — the final (post-degradation)
+    /// segment list is stored separately, so the original plan is not
+    /// needed and is not persisted.
+    pub(crate) fn empty(budget: f64) -> SegmentationPlan {
+        SegmentationPlan {
+            segments: Vec::new(),
+            budget,
+        }
     }
 
     /// Plans segments under an explicit [`SegmentationStrategy`].
@@ -136,24 +136,7 @@ impl SegmentationPlan {
         let order = cone_order(circuit);
         let segments = match strategy {
             SegmentationStrategy::TopoCover => {
-                let mut segments: Vec<Segment> = Vec::new();
-                let mut builder = SegmentBuilder::new(circuit, card);
-                let mut since_check = 0usize;
-                for &gate in &order {
-                    builder.push_gate(gate);
-                    since_check += 1;
-                    if since_check >= check_interval {
-                        since_check = 0;
-                        if builder.estimated_cost(heuristic) > budget && builder.gates.len() > 1 {
-                            segments.push(builder.finish());
-                            builder = SegmentBuilder::new(circuit, card);
-                        }
-                    }
-                }
-                if !builder.gates.is_empty() {
-                    segments.push(builder.finish());
-                }
-                segments
+                topo_cover_segments(circuit, card, &order, budget, check_interval, heuristic)
             }
             SegmentationStrategy::BalancedCut => {
                 balanced_cut_segments(circuit, card, budget, check_interval, heuristic, &order)
@@ -219,15 +202,18 @@ pub(crate) fn estimate_segment_cost(
     builder.estimated_cost(heuristic)
 }
 
-/// Replans a single over-budget segment under a tighter state budget,
-/// splitting its gates (kept in their existing topological order) into
-/// sub-segments exactly as [`SegmentationPlan::plan`] would. Sub-segment
-/// roots are recomputed from scratch, so lines produced by an earlier
-/// sub-segment become ordinary boundary roots of later ones.
-pub(crate) fn replan_segment(
+/// The topological cover: walks `gates` in the given order and closes a
+/// segment whenever, at a check every `check_interval` gates, the
+/// estimated state count exceeds `budget`. This is
+/// [`SegmentationPlan::plan`] over the cone order, and the degradation
+/// ladder's replan of one over-budget segment over that segment's gates
+/// under a tighter budget. Segment roots are computed from scratch, so
+/// lines produced by an earlier segment become ordinary boundary roots of
+/// later ones.
+pub(crate) fn topo_cover_segments(
     circuit: &Circuit,
     card: usize,
-    seg: &Segment,
+    gates: &[LineId],
     budget: f64,
     check_interval: usize,
     heuristic: Heuristic,
@@ -236,7 +222,7 @@ pub(crate) fn replan_segment(
     let mut segments: Vec<Segment> = Vec::new();
     let mut builder = SegmentBuilder::new(circuit, card);
     let mut since_check = 0usize;
-    for &gate in &seg.gates {
+    for &gate in gates {
         builder.push_gate(gate);
         since_check += 1;
         if since_check >= check_interval {

@@ -632,13 +632,11 @@ impl Engine {
     }
 }
 
-/// Bounded number of re-executions of a scenario after a retryable error.
-const MAX_RETRIES: u32 = 2;
-
 /// Runs one scenario with the engine's fault envelope: a per-job queue
-/// deadline, panic containment at the job boundary, and bounded
-/// retry-with-backoff for errors classified retryable
-/// ([`EstimateError::retryable`]).
+/// deadline and panic containment at the job boundary. A failed scenario
+/// is not retried: estimates are deterministic, so a real panic would
+/// panic again, and a retried deadline would hold the worker for a
+/// multiple of the deadline.
 fn run_scenario(
     model: &CompiledEstimator,
     spec: &InputSpec,
@@ -659,27 +657,14 @@ fn run_scenario(
             });
         }
     }
-    let attempt = || {
-        catch_unwind(AssertUnwindSafe(|| {
-            swact::faults::hit("engine:job", Some(index));
-            model.estimate(spec)
-        }))
-        .unwrap_or_else(|payload| {
-            metrics.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-            Err(EstimateError::from_panic(payload.as_ref()))
-        })
-    };
-    let mut result = attempt();
-    let mut retries = 0u32;
-    while retries < MAX_RETRIES && result.as_ref().err().is_some_and(EstimateError::retryable) {
-        retries += 1;
-        metrics.retries.fetch_add(1, Ordering::Relaxed);
-        // Deterministic bounded backoff; transient faults (another
-        // tenant's memory spike, a caught panic) often clear immediately.
-        std::thread::sleep(Duration::from_millis(1 << retries));
-        result = attempt();
-    }
-    result
+    catch_unwind(AssertUnwindSafe(|| {
+        swact::faults::hit("engine:job", Some(index));
+        model.estimate(spec)
+    }))
+    .unwrap_or_else(|payload| {
+        metrics.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+        Err(EstimateError::from_panic(payload.as_ref()))
+    })
 }
 
 #[cfg(test)]

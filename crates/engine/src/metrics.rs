@@ -28,7 +28,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) compiled_states: AtomicU64,
     pub(crate) jobs_panicked: AtomicU64,
     pub(crate) jobs_cancelled: AtomicU64,
-    pub(crate) retries: AtomicU64,
     pub(crate) degraded_segments: AtomicU64,
     pub(crate) messages_reused: AtomicU64,
     pub(crate) messages_recomputed: AtomicU64,
@@ -76,7 +75,6 @@ impl EngineMetrics {
             compiled_states: self.compiled_states.load(Ordering::Relaxed),
             jobs_panicked: self.jobs_panicked.load(Ordering::Relaxed),
             jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             degraded_segments: self.degraded_segments.load(Ordering::Relaxed),
             messages_reused: self.messages_reused.load(Ordering::Relaxed),
             messages_recomputed: self.messages_recomputed.load(Ordering::Relaxed),
@@ -152,9 +150,6 @@ pub struct MetricsSnapshot {
     /// resolved as per-scenario
     /// [`Cancelled`](swact::EstimateError::Cancelled) errors.
     pub jobs_cancelled: u64,
-    /// Scenario attempts re-executed after a retryable error
-    /// (panic/deadline).
-    pub retries: u64,
     /// Segments degraded by the compile-time budget ladder, summed over
     /// cache-miss compiles.
     pub degraded_segments: u64,
@@ -230,7 +225,6 @@ impl MetricsSnapshot {
             ("compiled_states", self.compiled_states as f64),
             ("jobs_panicked", self.jobs_panicked as f64),
             ("jobs_cancelled", self.jobs_cancelled as f64),
-            ("retries", self.retries as f64),
             ("degraded_segments", self.degraded_segments as f64),
             ("messages_reused", self.messages_reused as f64),
             ("messages_recomputed", self.messages_recomputed as f64),

@@ -541,8 +541,11 @@ fn parse_spec(v: &Value, circuit: &Circuit) -> Result<InputSpec, RequestError> {
                 .ok_or_else(|| bad("bad_request", "`p1` entries must be numbers"))
         })
         .collect::<Result<_, _>>()?;
-    match v.get("activity") {
-        None => Ok(InputSpec::independent(p1)),
+    // Without `activity` the inputs are temporally independent; either way
+    // every model goes through the fallible constructor, so an
+    // out-of-range p1 is a 400, not a panic in the handler thread.
+    let activity: Vec<f64> = match v.get("activity") {
+        None => p1.iter().map(|&p| 2.0 * p * (1.0 - p)).collect(),
         Some(activity) => {
             let activity: Vec<f64> = activity
                 .as_array()
@@ -556,15 +559,16 @@ fn parse_spec(v: &Value, circuit: &Circuit) -> Result<InputSpec, RequestError> {
             if activity.len() != p1.len() {
                 return Err(bad("bad_request", "`activity` must match `p1` in length"));
             }
-            let models = p1
-                .iter()
-                .zip(&activity)
-                .map(|(&p, &a)| InputModel::new(p, a))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| bad("bad_request", e.to_string()))?;
-            Ok(InputSpec::from_models(models))
+            activity
         }
-    }
+    };
+    let models = p1
+        .iter()
+        .zip(&activity)
+        .map(|(&p, &a)| InputModel::new(p, a))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| bad("bad_request", e.to_string()))?;
+    Ok(InputSpec::from_models(models))
 }
 
 /// Runs the engine and writes the endpoint-appropriate response.

@@ -424,6 +424,28 @@ fn typed_errors_map_to_statuses_with_structured_bodies() {
     assert_eq!(late.status, 504);
     assert!(late.body.contains("\"code\":\"deadline_exceeded\""));
 
+    // Out-of-range p1 → 400, not a panic in the handler thread. More
+    // hostile posts than the server has handlers, then a valid estimate
+    // that every handler must still be alive to serve.
+    for p1 in ["[1.5,1.5,1.5,1.5,1.5]", "[0.5,0.5,0.5,0.5,-2]"] {
+        for _ in 0..2 {
+            let body = format!(r#"{{"circuit":"c17","p1":{p1}}}"#);
+            let hostile = call(addr, &post("/v1/estimate", None, &body));
+            assert_eq!(hostile.status, 400, "body: {}", hostile.body);
+            assert!(hostile.body.contains("\"code\":\"bad_request\""));
+        }
+    }
+    let valid = call(
+        addr,
+        &post(
+            "/v1/estimate",
+            None,
+            r#"{"circuit":"c17","p1":[0.5,0.5,0.5,0.5,0.5]}"#,
+        ),
+    );
+    assert_eq!(valid.status, 200, "body: {}", valid.body);
+    assert!(valid.body.starts_with("{\"circuit\":\"c17\""));
+
     // Wrong route → 404.
     let lost = call(addr, &get("/v2/nothing"));
     assert_eq!(lost.status, 404);

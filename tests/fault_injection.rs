@@ -5,10 +5,8 @@
 //! run, the faulted ones surface structured errors or degraded estimates,
 //! and the engine neither crashes nor hangs in `wait`.
 //!
-//! Injected panics and deadlines are retryable, and the engine retries
-//! twice with backoff — so tests that want a scenario to *fail* arm the
-//! same one-shot fault three times (initial attempt + two retries), and
-//! tests that arm it fewer times assert the retry *recovers*.
+//! The engine does not retry a failed scenario, so one armed one-shot
+//! fault fails exactly one attempt.
 #![cfg(feature = "fault-inject")]
 
 use std::time::Duration;
@@ -52,12 +50,7 @@ fn injected_worker_panic_fails_one_scenario_and_spares_the_rest() {
 
     let engine = Engine::with_jobs(1);
     {
-        // Three one-shot panics: the initial attempt and both retries of
-        // scenario 1 must all blow up for the error to become final.
-        let _guard = arm(FaultPlan::new()
-            .fault_at("engine:job", 1, FaultAction::Panic)
-            .fault_at("engine:job", 1, FaultAction::Panic)
-            .fault_at("engine:job", 1, FaultAction::Panic));
+        let _guard = arm(FaultPlan::new().fault_at("engine:job", 1, FaultAction::Panic));
         let report = engine
             .estimate_batch(&circuit, &specs, &options)
             .expect("batch-level compile is unaffected");
@@ -79,8 +72,7 @@ fn injected_worker_panic_fails_one_scenario_and_spares_the_rest() {
     }
 
     let metrics = engine.metrics();
-    assert_eq!(metrics.jobs_panicked, 3);
-    assert_eq!(metrics.retries, 2);
+    assert_eq!(metrics.jobs_panicked, 1);
     assert_eq!(metrics.requests_failed, 1);
 
     // The engine survives: the same batch, disarmed, is fully clean.
@@ -95,36 +87,6 @@ fn injected_worker_panic_fails_one_scenario_and_spares_the_rest() {
             ref_item.result.as_ref().expect("reference").switching_all()
         );
     }
-}
-
-#[test]
-fn single_injected_panic_is_recovered_by_retry() {
-    let circuit = catalog::c17();
-    let specs = specs_for(&circuit, 2);
-    let options = Options::default();
-    let reference = {
-        let _quiet = quiesce();
-        Engine::with_jobs(1)
-            .estimate_batch(&circuit, &specs, &options)
-            .expect("reference batch")
-    };
-
-    let engine = Engine::with_jobs(1);
-    let _guard = arm(FaultPlan::new().fault_at("engine:job", 0, FaultAction::Panic));
-    let report = engine
-        .estimate_batch(&circuit, &specs, &options)
-        .expect("batch");
-    assert!(report.all_ok(), "one panic, two retries: must recover");
-    for (item, ref_item) in report.items.iter().zip(&reference.items) {
-        assert_eq!(
-            item.result.as_ref().expect("ok").switching_all(),
-            ref_item.result.as_ref().expect("reference").switching_all()
-        );
-    }
-    let metrics = engine.metrics();
-    assert_eq!(metrics.jobs_panicked, 1);
-    assert_eq!(metrics.retries, 1);
-    assert_eq!(metrics.requests_failed, 0);
 }
 
 #[test]
@@ -185,11 +147,7 @@ fn injected_stage_delay_trips_the_propagate_deadline() {
 
     let engine = Engine::with_jobs(1);
     {
-        // Initial attempt + two retries must each stall past the deadline.
-        let _guard = arm(FaultPlan::new()
-            .fault_at("pipeline:propagate:wave", 0, delay)
-            .fault_at("pipeline:propagate:wave", 0, delay)
-            .fault_at("pipeline:propagate:wave", 0, delay));
+        let _guard = arm(FaultPlan::new().fault_at("pipeline:propagate:wave", 0, delay));
         let report = engine
             .estimate_batch(&circuit, std::slice::from_ref(&spec), &options)
             .expect("compile is fast enough for the deadline");
@@ -200,8 +158,6 @@ fn injected_stage_delay_trips_the_propagate_deadline() {
             other => panic!("expected propagate DeadlineExceeded, got {other:?}"),
         }
     }
-    assert_eq!(engine.metrics().retries, 2);
-
     // Faults exhausted: the same engine finishes the same scenario
     // bit-identically to the fault-free run.
     let _quiet = quiesce();
@@ -266,10 +222,7 @@ fn mixed_fault_batches_across_circuits_leave_the_engine_healthy() {
     }
 
     {
-        let _guard = arm(FaultPlan::new()
-            .fault_at("engine:job", 1, FaultAction::Panic)
-            .fault_at("engine:job", 1, FaultAction::Panic)
-            .fault_at("engine:job", 1, FaultAction::Panic));
+        let _guard = arm(FaultPlan::new().fault_at("engine:job", 1, FaultAction::Panic));
         let alu2_report = engine
             .estimate_batch(&alu2, &alu2_specs, &plain)
             .expect("alu2 batch");
@@ -286,13 +239,10 @@ fn mixed_fault_batches_across_circuits_leave_the_engine_healthy() {
     }
 
     {
-        let _guard = arm(FaultPlan::new()
-            .fault_at("pipeline:propagate:wave", 0, delay)
-            .fault_at("pipeline:propagate:wave", 0, delay)
-            .fault_at("pipeline:propagate:wave", 0, delay));
+        let _guard = arm(FaultPlan::new().fault_at("pipeline:propagate:wave", 0, delay));
         // Single scenario: with one worker, scenarios queued behind the
-        // three 600 ms delayed attempts would (correctly) be shed by the
-        // queue deadline — the clean rerun below covers the full batch.
+        // delayed attempt would (correctly) be shed by the queue deadline —
+        // the clean rerun below covers the full batch.
         let c17_report = engine
             .estimate_batch(&c17, &c17_specs[..1], &deadlined)
             .expect("c17 batch");
@@ -326,7 +276,6 @@ fn mixed_fault_batches_across_circuits_leave_the_engine_healthy() {
         );
     }
     let metrics = engine.metrics();
-    assert_eq!(metrics.jobs_panicked, 3);
-    assert_eq!(metrics.retries, 4);
+    assert_eq!(metrics.jobs_panicked, 1);
     assert_eq!(metrics.requests_failed, 2);
 }

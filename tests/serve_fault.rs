@@ -49,12 +49,9 @@ fn injected_job_panic_becomes_a_structured_500_and_the_server_survives() {
     let addr = server.local_addr();
     let body = r#"{"circuit":"c17","p1":[0.5,0.5,0.5,0.5,0.5]}"#;
 
-    // Three one-shot panics at the job point defeat the engine's two
-    // retries, so the scenario fails for good.
-    let _guard = arm(FaultPlan::new()
-        .fault_at("engine:job", 0, FaultAction::Panic)
-        .fault_at("engine:job", 0, FaultAction::Panic)
-        .fault_at("engine:job", 0, FaultAction::Panic));
+    // One one-shot panic at the job point; the engine does not retry,
+    // so the scenario fails for good.
+    let _guard = arm(FaultPlan::new().fault_at("engine:job", 0, FaultAction::Panic));
 
     let (status, response) = exchange(addr, body);
     assert_eq!(status, 500, "body: {response}");
@@ -74,8 +71,7 @@ fn injected_job_panic_becomes_a_structured_500_and_the_server_survives() {
         .expect("send");
     let mut metrics = String::new();
     stream.read_to_string(&mut metrics).expect("read");
-    assert!(metrics.contains("swact_engine_jobs_panicked 3\n"));
-    assert!(metrics.contains("swact_engine_retries 2\n"));
+    assert!(metrics.contains("swact_engine_jobs_panicked 1\n"));
     assert!(
         metrics.contains("swact_server_responses_total{endpoint=\"estimate\",class=\"5xx\"} 1\n")
     );

@@ -5,7 +5,9 @@
 use swact::{InputSpec, Lidag};
 use swact_bayesnet::dsep::{d_separated, independent_in_joint, markov_blanket};
 use swact_bayesnet::elim::eliminate;
-use swact_bayesnet::{Heuristic, JunctionTree, Propagator, VarId};
+use swact_bayesnet::{
+    initial_potentials, CompiledTree, Heuristic, JunctionTree, SparseMode, VarId,
+};
 use swact_circuit::benchgen::{generate, GeneratorConfig};
 use swact_circuit::catalog;
 
@@ -113,10 +115,11 @@ fn junction_tree_agrees_with_variable_elimination_on_lidags() {
         let net = lidag.net();
         let tree = JunctionTree::compile(net).unwrap();
         assert!(tree.satisfies_running_intersection());
-        let mut prop = Propagator::new(&tree, net).unwrap();
-        prop.calibrate();
+        let compiled = CompiledTree::new(tree, net).unwrap();
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
         for var in net.var_ids() {
-            let jt = prop.marginal(var);
+            let jt = compiled.marginal(&state, var);
             let ve = eliminate(net, var, &[], Heuristic::MinDegree).unwrap();
             for (a, b) in jt.iter().zip(&ve) {
                 assert!((a - b).abs() < 1e-10, "seed {seed} var {var}");
@@ -131,20 +134,25 @@ fn posterior_queries_with_evidence_agree_across_engines() {
     let net = lidag.net();
     let tree = JunctionTree::compile(net).unwrap();
     let last = VarId::from_index(net.num_vars() - 1);
-    let mut prop = Propagator::new(&tree, net).unwrap();
-    // Observe the last variable rising.
-    prop.set_evidence(last, 1).unwrap();
-    prop.calibrate();
-    for var in net.var_ids() {
-        if var == last {
-            continue;
-        }
-        let jt = prop.marginal(var);
-        let ve = eliminate(net, var, &[(last, 1)], Heuristic::MinFill).unwrap();
-        let bf = net.brute_force_marginal(var, &[(last, 1)]);
-        for ((a, b), c) in jt.iter().zip(&ve).zip(&bf) {
-            assert!((a - b).abs() < 1e-10);
-            assert!((a - c).abs() < 1e-10);
+    // Both kernel families: the default and the all-dense one.
+    for mode in [SparseMode::Auto, SparseMode::Off] {
+        let compiled =
+            CompiledTree::from_parts_with(tree.clone(), initial_potentials(&tree, net), mode);
+        let mut state = compiled.new_state();
+        // Observe the last variable rising.
+        compiled.set_evidence(&mut state, last, 1).unwrap();
+        compiled.calibrate(&mut state);
+        for var in net.var_ids() {
+            if var == last {
+                continue;
+            }
+            let jt = compiled.marginal(&state, var);
+            let ve = eliminate(net, var, &[(last, 1)], Heuristic::MinFill).unwrap();
+            let bf = net.brute_force_marginal(var, &[(last, 1)]);
+            for ((a, b), c) in jt.iter().zip(&ve).zip(&bf) {
+                assert!((a - b).abs() < 1e-10, "{mode:?}");
+                assert!((a - c).abs() < 1e-10, "{mode:?}");
+            }
         }
     }
 }
