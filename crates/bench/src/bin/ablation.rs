@@ -96,9 +96,8 @@ fn triangulation() {
         let lidag = swact::Lidag::build(&circuit, &spec, 4).expect("builds");
         let moral = swact_bayesnet::graph::moral_graph(lidag.net());
         let cards = lidag.net().cards();
-        let fill = swact_bayesnet::triangulate::estimate_cost(&moral, &cards, Heuristic::MinFill);
-        let degree =
-            swact_bayesnet::triangulate::estimate_cost(&moral, &cards, Heuristic::MinDegree);
+        let cost = |h| swact_bayesnet::triangulate::triangulate(&moral, &cards, h).total_states;
+        let (fill, degree) = (cost(Heuristic::MinFill), cost(Heuristic::MinDegree));
         println!(
             "{:<10} {:>14.3e} {:>14.3e} {:>9.3}",
             name,

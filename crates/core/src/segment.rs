@@ -12,12 +12,14 @@
 //! correlations in the network boundaries").
 //!
 //! The planner walks gates in topological order and closes a segment when
-//! the junction-tree state count of its LIDAG (estimated by a quick
-//! min-degree triangulation) exceeds the configured budget.
+//! the junction-tree state count of its LIDAG exceeds the configured
+//! budget. The count is estimated by a greedy triangulation under the
+//! configured heuristic (min-fill by default), run on the segment's gate
+//! families directly by the incremental elimination engine in
+//! [`swact_bayesnet::triangulate`].
 
 use std::collections::{HashMap, VecDeque};
 
-use swact_bayesnet::graph::UndirectedGraph;
 use swact_bayesnet::triangulate::{estimate_cost, Heuristic};
 use swact_circuit::{Circuit, LineId};
 
@@ -195,11 +197,23 @@ pub(crate) fn estimate_segment_cost(
     seg: &Segment,
     heuristic: Heuristic,
 ) -> f64 {
-    let mut builder = SegmentBuilder::new(circuit, card);
+    let inputs = input_positions(circuit);
+    let mut builder = SegmentBuilder::new(circuit, &inputs, card);
     for &gate in &seg.gates {
         builder.push_gate(gate);
     }
     builder.estimated_cost(heuristic)
+}
+
+/// Position of each line in the circuit's primary-input list, by line
+/// index (`None` for gate-driven lines), computed once per walk so a new
+/// root's [`RootSource`] is one lookup.
+fn input_positions(circuit: &Circuit) -> Vec<Option<usize>> {
+    let mut positions = vec![None; circuit.num_lines()];
+    for (pos, &pi) in circuit.inputs().iter().enumerate() {
+        positions[pi.index()] = Some(pos);
+    }
+    positions
 }
 
 /// The topological cover: walks `gates` in the given order and closes a
@@ -219,8 +233,9 @@ pub(crate) fn topo_cover_segments(
     heuristic: Heuristic,
 ) -> Vec<Segment> {
     assert!(check_interval > 0, "check interval must be positive");
+    let inputs = input_positions(circuit);
     let mut segments: Vec<Segment> = Vec::new();
-    let mut builder = SegmentBuilder::new(circuit, card);
+    let mut builder = SegmentBuilder::new(circuit, &inputs, card);
     let mut since_check = 0usize;
     for &gate in gates {
         builder.push_gate(gate);
@@ -229,7 +244,7 @@ pub(crate) fn topo_cover_segments(
             since_check = 0;
             if builder.estimated_cost(heuristic) > budget && builder.gates.len() > 1 {
                 segments.push(builder.finish());
-                builder = SegmentBuilder::new(circuit, card);
+                builder = SegmentBuilder::new(circuit, &inputs, card);
             }
         }
     }
@@ -282,9 +297,10 @@ fn balanced_cut_segments(
             .count()
     };
 
+    let inputs = input_positions(circuit);
     let mut segments: Vec<Segment> = Vec::new();
     let mut queue: VecDeque<LineId> = order.iter().copied().collect();
-    let mut builder = SegmentBuilder::new(circuit, card);
+    let mut builder = SegmentBuilder::new(circuit, &inputs, card);
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     let mut since_check = 0usize;
     while let Some(gate) = queue.pop_front() {
@@ -309,7 +325,7 @@ fn balanced_cut_segments(
             match best_len {
                 Some(keep) if keep < builder.gates.len() => {
                     let tail: Vec<LineId> = builder.gates[keep..].to_vec();
-                    let mut head = SegmentBuilder::new(circuit, card);
+                    let mut head = SegmentBuilder::new(circuit, &inputs, card);
                     for &g in &builder.gates[..keep] {
                         head.push_gate(g);
                     }
@@ -320,7 +336,7 @@ fn balanced_cut_segments(
                 }
                 _ => segments.push(builder.finish()),
             }
-            builder = SegmentBuilder::new(circuit, card);
+            builder = SegmentBuilder::new(circuit, &inputs, card);
             checkpoints.clear();
         } else {
             checkpoints.push(Checkpoint {
@@ -379,51 +395,47 @@ fn cone_order(circuit: &Circuit) -> Vec<LineId> {
 
 struct SegmentBuilder<'c> {
     circuit: &'c Circuit,
+    /// [`input_positions`] of `circuit`.
+    inputs: &'c [Option<usize>],
     card: usize,
     /// Local index per line in this segment.
     local: HashMap<LineId, usize>,
     roots: Vec<(LineId, RootSource)>,
     gates: Vec<LineId>,
-    /// Gate families as local index lists (for the moral graph).
+    /// Gate families as local index lists (the moral graph's cliques).
     families: Vec<Vec<usize>>,
-    /// Lines driven by a gate *inside* this segment.
-    driven_here: std::collections::HashSet<LineId>,
 }
 
 impl<'c> SegmentBuilder<'c> {
-    fn new(circuit: &'c Circuit, card: usize) -> SegmentBuilder<'c> {
+    fn new(circuit: &'c Circuit, inputs: &'c [Option<usize>], card: usize) -> SegmentBuilder<'c> {
         SegmentBuilder {
             circuit,
+            inputs,
             card,
             local: HashMap::new(),
             roots: Vec::new(),
             gates: Vec::new(),
             families: Vec::new(),
-            driven_here: std::collections::HashSet::new(),
         }
     }
 
     fn local_index(&mut self, line: LineId) -> usize {
-        if let Some(&i) = self.local.get(&line) {
-            return i;
-        }
-        let i = self.local.len();
-        self.local.insert(line, i);
-        i
+        let next = self.local.len();
+        *self.local.entry(line).or_insert(next)
     }
 
     fn push_gate(&mut self, gate_line: LineId) {
-        let gate = self
-            .circuit
+        let circuit = self.circuit;
+        let gate = circuit
             .gate(gate_line)
-            .expect("segment gates are gate-driven lines")
-            .clone();
-        // Inputs not driven inside this segment become roots. Register the
-        // local index immediately so a line repeated in one gate's input
-        // list is only rooted once.
+            .expect("segment gates are gate-driven lines");
+        // Inputs without a local index yet (so not driven inside this
+        // segment either) become roots. Register the local index
+        // immediately so a line repeated in one gate's input list is only
+        // rooted once.
         for &input in &gate.inputs {
-            if !self.driven_here.contains(&input) && !self.local.contains_key(&input) {
-                let source = match self.circuit.inputs().iter().position(|&pi| pi == input) {
+            if !self.local.contains_key(&input) {
+                let source = match self.inputs[input.index()] {
                     Some(pos) => RootSource::PrimaryInput(pos),
                     None => RootSource::Boundary,
                 };
@@ -436,21 +448,12 @@ impl<'c> SegmentBuilder<'c> {
         family.sort_unstable();
         family.dedup();
         self.families.push(family);
-        self.driven_here.insert(gate_line);
         self.gates.push(gate_line);
     }
 
     fn estimated_cost(&self, heuristic: Heuristic) -> f64 {
         let n = self.local.len();
-        let mut graph = UndirectedGraph::new(n);
-        for family in &self.families {
-            for (i, &a) in family.iter().enumerate() {
-                for &b in &family[i + 1..] {
-                    graph.add_edge(a, b);
-                }
-            }
-        }
-        estimate_cost(&graph, &vec![self.card; n], heuristic)
+        estimate_cost(n, &self.families, &vec![self.card; n], heuristic)
     }
 
     fn finish(self) -> Segment {
